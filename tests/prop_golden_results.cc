@@ -1,12 +1,13 @@
 /**
  * @file
  * Golden-result regression tests (check/golden.hh): deterministic
- * summaries of the workload suite and of two full pipeline runs are
- * compared byte-for-byte against snapshots in tests/golden/. Any
- * behaviour drift — an estimator tweak, a cost-model change, a CSV
- * formatting change — fails here with the first differing line before
- * a human would notice a number moved. Intentional changes are
- * re-snapshotted with CT_GOLDEN_UPDATE=1 (see docs/TESTING.md).
+ * summaries of the workload suite, of two full pipeline runs and of
+ * the fleet campaign drivers are compared byte-for-byte against
+ * snapshots in tests/golden/. Any behaviour drift — an estimator
+ * tweak, a cost-model change, a CSV formatting change — fails here
+ * with the first differing line before a human would notice a number
+ * moved. Intentional changes are re-snapshotted with
+ * CT_GOLDEN_UPDATE=1 (see docs/TESTING.md).
  */
 
 #include <cstdarg>
@@ -17,7 +18,10 @@
 
 #include "api/pipeline.hh"
 #include "check/golden.hh"
+#include "fleet/fleet.hh"
 #include "ir/analysis.hh"
+#include "net/fleet.hh"
+#include "relay/tree.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -109,6 +113,81 @@ TEST(PropGolden, PipelineSummaryMatchesSnapshot)
     auto acc =
         check::compareGolden(goldenPath("pipeline_accuracy.csv"), accuracy);
     EXPECT_TRUE(acc.ok) << acc.message;
+}
+
+TEST(PropGolden, FleetCampaignsMatchSnapshot)
+{
+    // The fleet drivers' seeds and scoring, pinned: E12-shaped lossy
+    // campaigns, the sharded template campaign at two shard counts and
+    // one lossy relay tree. The jobs 1-vs-N diffs in CI cannot see a
+    // seed that moves the same way in both runs; this can.
+    auto workload = workloads::workloadByName("event_dispatch");
+    std::string out =
+        "# lossy fleet: event_dispatch, 4 motes x 200 invocations\n"
+        "loss,retransmit,sent,delivered,complete_motes,retransmissions,"
+        "skipped,crc_rejects,max_err,mean_err\n";
+    for (double loss : {0.0, 0.2}) {
+        for (bool retransmit : {true, false}) {
+            net::FleetConfig config;
+            config.motes = 4;
+            config.invocations = 200;
+            config.seed = 1;
+            config.channel.dropRate = loss;
+            config.channel.duplicateRate = 0.02;
+            config.channel.reorderWindow = 3;
+            config.channel.bitFlipRate = 0.01;
+            config.uplink.retransmit = retransmit;
+            auto fleet = net::runFleet(workload, config);
+            uint64_t retrans = 0, skipped = 0, rejects = 0;
+            for (const auto &mote : fleet.motes) {
+                retrans += mote.uplink.retransmissions;
+                skipped += mote.collector.skippedPackets;
+                rejects += mote.collector.rejected;
+            }
+            out += fmtRow("%.2f,%s,%zu,%zu,%zu,%llu,%llu,%llu,%.6f,%.6f\n",
+                          loss, retransmit ? "on" : "off",
+                          fleet.totalRecordsSent(),
+                          fleet.totalRecordsDelivered(),
+                          fleet.completeMotes(),
+                          (unsigned long long)retrans,
+                          (unsigned long long)skipped,
+                          (unsigned long long)rejects, fleet.maxThetaError(),
+                          fleet.meanThetaError());
+        }
+    }
+
+    out += "# sharded fleet: event_dispatch, 300 motes x 40 invocations\n"
+           "shards,frames,records,estimators,digest\n";
+    for (size_t shards : {1, 4}) {
+        fleet::ShardedFleetConfig config;
+        config.motes = 300;
+        config.invocations = 40;
+        config.seed = 3;
+        config.collector.shards = shards;
+        auto result = fleet::runShardedFleet(workload, config);
+        out += fmtRow("%zu,%llu,%llu,%zu,%016llx\n", shards,
+                      (unsigned long long)result.totalFrames(),
+                      (unsigned long long)result.totalRecords(),
+                      result.estimators,
+                      (unsigned long long)result.mergedDigest);
+    }
+
+    out += "# relay tree: event_dispatch, fanout 2 depth 2, 48 motes, "
+           "20% link loss\n"
+           "records,fragments,retransmissions,root_digest\n";
+    relay::RelayTreeConfig relay_config;
+    relay_config.motes = 48;
+    relay_config.seed = 5;
+    relay_config.ship.channel.dropRate = 0.2;
+    auto tree = relay::runRelayTree(workload, relay_config);
+    out += fmtRow("%llu,%llu,%llu,%016llx\n",
+                  (unsigned long long)tree.records,
+                  (unsigned long long)tree.totalFragmentsSent(),
+                  (unsigned long long)tree.totalRetransmissions(),
+                  (unsigned long long)tree.rootDigest);
+
+    auto result = check::compareGolden(goldenPath("fleet_campaigns.txt"), out);
+    EXPECT_TRUE(result.ok) << result.message;
 }
 
 } // namespace
