@@ -33,11 +33,11 @@ minSeparationTicks(const workloads::Workload &workload,
     auto lowered = sim::lowerModule(*workload.module);
     auto means = tomography::meanCyclesBottomUp(
         *workload.module, lowered, config.costs, config.policy, ticks,
-        run.profile, 2.0 * double(config.costs.timerRead));
+        run.profile, sim::nestedProbeCycles(config.costs));
     const auto &proc = workload.entryProc();
     tomography::TimingModel model(proc, lowered.procs[workload.entry],
                                   config.costs, config.policy, ticks, means,
-                                  2.0 * double(config.costs.timerRead));
+                                  sim::nestedProbeCycles(config.costs));
     auto theta = model.thetaFromProfile(run.profile[workload.entry]);
     double best = std::numeric_limits<double>::infinity();
     for (const auto &diag : model.branchDiagnostics(theta))

@@ -282,11 +282,11 @@ main(int argc, char **argv)
                 auto means = tomography::meanCyclesBottomUp(
                     *workload.module, lowered, config.costs, config.policy,
                     ticks, full[w].run.profile,
-                    2.0 * config.costs.timerRead);
+                    sim::nestedProbeCycles(config.costs));
                 tomography::TimingModel model(
                     workload.entryProc(), lowered.procs[workload.entry],
                     config.costs, config.policy, ticks, means,
-                    2.0 * config.costs.timerRead);
+                    sim::nestedProbeCycles(config.costs));
                 auto truth =
                     full[w].run.profile[workload.entry].branchProbabilities(
                         workload.entryProc());

@@ -60,7 +60,7 @@ main(int argc, char **argv)
     std::vector<double> no_callees(workload.module->procedureCount(), 0.0);
     tomography::TimingModel model(
         workload.entryProc(), lowered.procs[workload.entry], config.costs,
-        config.policy, 1, no_callees, 2.0 * config.costs.timerRead);
+        config.policy, 1, no_callees, sim::nestedProbeCycles(config.costs));
 
     tomography::StreamingEstimator decaying(model);
     tomography::StreamingEstimator tracking(model, {}, 0.7, forgetting);

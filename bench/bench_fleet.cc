@@ -3,10 +3,9 @@
  * E15 — fleet-scale sharded ingest: throughput and latency of the
  * ct::fleet sharded collection pipeline across campaign sizes
  * (--motes-list, default 10^3..10^5; 10^6 reachable) and shard counts
- * (--shards-list, default 1..16). Expected shape: per-shard locking
- * scales with worker count while the Global locking mode flattens at
- * one collector's throughput, and the merged snapshot digest is
- * byte-identical for every (shards, jobs) combination.
+ * (--shards-list, default 1..16). Expected shape: ingest scales with
+ * worker count while shards outnumber workers, and the merged snapshot
+ * digest is byte-identical for every (shards, jobs) combination.
  *
  * Output splits by determinism, the same discipline as bench_store:
  *
@@ -14,9 +13,9 @@
  *     records, estimators) plus the merged snapshot digest; CI diffs
  *     this file across --jobs values AND across shard counts.
  *   - results/BENCH_fleet.{csv,json} — wall-clock numbers (records/s,
- *     per-shard p50/p99 ingest latency, scaling efficiency, locking
- *     and metrics-overhead comparisons); never diffed, uploaded as
- *     the perf artifact.
+ *     per-shard p50/p99 ingest latency, scaling efficiency and the
+ *     metrics-overhead comparison); never diffed, uploaded as the perf
+ *     artifact.
  *
  * Also measures the striped obs::Counter hot path directly (stderr):
  * concurrent add() throughput against a single-cell atomic baseline —
@@ -77,7 +76,6 @@ struct PerfRow
     size_t motes = 0;
     size_t shards = 0;
     std::string shard = "-";
-    std::string locking = "shard";
     std::string metrics = "off";
     double ingestSeconds = 0.0;
     double recordsPerSecond = 0.0;
@@ -134,7 +132,7 @@ main(int argc, char **argv)
     bool keep_dirs = args.getBool("keep-dirs", false);
 
     auto campaign = [&](size_t motes, size_t shards,
-                        fleet::Locking locking, const std::string &store) {
+                        const std::string &store) {
         fleet::ShardedFleetConfig config;
         config.motes = motes;
         config.invocations = records;
@@ -142,7 +140,6 @@ main(int argc, char **argv)
         config.jobs = jobs;
         config.seed = seed;
         config.collector.shards = shards;
-        config.collector.locking = locking;
         config.collector.storeDir = store;
         // Group-commit batch large enough that the WAL's fsyncs don't
         // drown the counter path this configuration measures.
@@ -162,10 +159,9 @@ main(int argc, char **argv)
     for (size_t motes : motes_list) {
         double base_seconds = 0.0;
         for (size_t shards : shards_list) {
-            auto result = campaign(motes, shards, fleet::Locking::PerShard,
-                                   "");
-            det.row(motes, shards, result.totalFrames(),
-                    result.totalRecords(), result.estimators,
+            auto result = campaign(motes, shards, "");
+            det.row(motes, shards, result.totalFrames,
+                    result.totalRecords, result.estimators,
                     hexDigest(result.mergedDigest));
 
             PerfRow row;
@@ -189,31 +185,13 @@ main(int argc, char **argv)
         }
     }
 
-    // --- Locking comparison: the contended configuration. -----------
-    {
-        size_t motes = motes_list.back();
-        size_t shards = shards_list.back();
-        auto result =
-            campaign(motes, shards, fleet::Locking::Global, "");
-        PerfRow row;
-        row.kind = "locking";
-        row.motes = motes;
-        row.shards = shards;
-        row.locking = "global";
-        row.ingestSeconds = result.ingestSeconds;
-        row.recordsPerSecond = result.recordsPerSecond();
-        worstLatency(result, row.p50Ns, row.p99Ns);
-        perf.push_back(row);
-    }
-
     // --- Metrics overhead: durable ingest, counters off vs on. ------
     for (bool metrics_on : {false, true}) {
         size_t motes = motes_list.back();
         size_t shards = shards_list.back();
         auto dir = scratchDir(metrics_on ? "metrics_on" : "metrics_off");
         obs::setMetricsEnabled(metrics_on);
-        auto result =
-            campaign(motes, shards, fleet::Locking::PerShard, dir);
+        auto result = campaign(motes, shards, dir);
         obs::setMetricsEnabled(false);
         obs::metrics().clear();
         PerfRow row;
@@ -254,13 +232,13 @@ main(int argc, char **argv)
     TablePrinter table("E15: sharded fleet ingest — perf (" +
                        workload.name + ", jobs=" + std::to_string(jobs) +
                        ")");
-    table.setHeader({"kind", "motes", "shards", "shard", "locking",
-                     "metrics", "ingest_s", "records_per_s", "speedup",
-                     "efficiency", "p50_ns", "p99_ns"});
+    table.setHeader({"kind", "motes", "shards", "shard", "metrics",
+                     "ingest_s", "records_per_s", "speedup", "efficiency",
+                     "p50_ns", "p99_ns"});
     for (const auto &row : perf)
-        table.row(row.kind, row.motes, row.shards, row.shard, row.locking,
-                  row.metrics, row.ingestSeconds, row.recordsPerSecond,
-                  row.speedup, row.efficiency, row.p50Ns, row.p99Ns);
+        table.row(row.kind, row.motes, row.shards, row.shard, row.metrics,
+                  row.ingestSeconds, row.recordsPerSecond, row.speedup,
+                  row.efficiency, row.p50Ns, row.p99Ns);
     emit(table, "BENCH_fleet", /*json=*/true);
 
     // --- The striped-counter hot path itself. -----------------------

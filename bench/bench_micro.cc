@@ -102,7 +102,7 @@ BM_Estimator(benchmark::State &state)
     for (auto _ : state) {
         auto estimate = tomography::estimateModule(
             *workload.module, lowered, config.costs, config.policy, 4,
-            2.0 * config.costs.timerRead, run.trace, *estimator);
+            sim::nestedProbeCycles(config.costs), run.trace, *estimator);
         benchmark::DoNotOptimize(estimate.thetas.size());
     }
     state.SetLabel(tomography::estimatorName(kind));
@@ -135,7 +135,7 @@ BM_EmSolveCrc16(benchmark::State &state)
     for (auto _ : state) {
         auto estimate = tomography::estimateModule(
             *workload.module, lowered, config.costs, config.policy, 4,
-            2.0 * config.costs.timerRead, run.trace, *estimator);
+            sim::nestedProbeCycles(config.costs), run.trace, *estimator);
         benchmark::DoNotOptimize(estimate.thetas.size());
     }
 }
@@ -182,7 +182,7 @@ BM_StreamingObserve(benchmark::State &state)
     std::vector<double> no_callees(workload.module->procedureCount(), 0.0);
     tomography::TimingModel model(
         workload.entryProc(), lowered.procs[workload.entry], config.costs,
-        config.policy, 4, no_callees, 2.0 * config.costs.timerRead);
+        config.policy, 4, no_callees, sim::nestedProbeCycles(config.costs));
 
     size_t cursor = 0;
     tomography::StreamingEstimator streaming(model);

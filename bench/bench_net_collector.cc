@@ -10,14 +10,16 @@
  * error grows slowly, because fewer samples, not corrupted samples,
  * is the failure mode (CRC rejects every bit-flipped frame).
  *
- * The CSV is bit-identical for every --jobs value (per-mote seeds
- * derive from the mote id alone); wall-clock throughput is printed to
- * stderr only, never into the CSV, so CI can diff runs.
+ * Each sweep point is one lossy fleet::runShardedFleet campaign with a
+ * single shard. The CSV is bit-identical for every --jobs value
+ * (per-mote seeds derive from the mote id alone); wall-clock
+ * throughput is printed to stderr only, never into the CSV, so CI can
+ * diff runs.
  */
 
 #include "common.hh"
 
-#include "net/fleet.hh"
+#include "fleet/fleet.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
 
@@ -44,16 +46,18 @@ main(int argc, char **argv)
     if (args.getBool("no-retransmit", false))
         retransmit_modes = {false};
 
-    net::FleetConfig base;
+    fleet::ShardedFleetConfig base;
     base.motes = motes;
     base.invocations = samples;
     base.seed = seed;
     base.jobs = jobsFromArgs(args);
     base.mtu = size_t(args.getLong("mtu", net::kDefaultMtu));
-    base.channel.duplicateRate = args.getDouble("dup", 0.02);
-    base.channel.reorderWindow = size_t(args.getLong("reorder", 3));
-    base.channel.bitFlipRate = args.getDouble("bitflip", 0.01);
-    base.channel.burstLoss = args.getBool("burst", false);
+    base.collector.shards = 1;
+    net::ChannelConfig channel;
+    channel.duplicateRate = args.getDouble("dup", 0.02);
+    channel.reorderWindow = size_t(args.getLong("reorder", 3));
+    channel.bitFlipRate = args.getDouble("bitflip", 0.01);
+    channel.burstLoss = args.getBool("burst", false);
     base.uplink.maxRetries = size_t(args.getLong("retries", 16));
 
     TablePrinter table("E12: telemetry collection under radio faults (" +
@@ -65,29 +69,29 @@ main(int argc, char **argv)
 
     for (double loss : losses) {
         for (bool retransmit : retransmit_modes) {
-            net::FleetConfig config = base;
-            config.channel.dropRate = loss;
+            fleet::ShardedFleetConfig config = base;
+            config.channel = channel;
+            config.channel->dropRate = loss;
             config.uplink.retransmit = retransmit;
 
+            std::unique_ptr<fleet::ShardedCollector> sink;
             obs::StopwatchUs watch;
-            auto fleet = net::runFleet(workload, config);
+            auto fleet = fleet::runShardedFleet(workload, config, &sink);
             double elapsed_s = double(watch.elapsedUs()) / 1e6;
 
-            uint64_t retrans = 0, skipped = 0, rejects = 0;
-            for (const auto &mote : fleet.motes) {
-                retrans += mote.uplink.retransmissions;
-                skipped += mote.collector.skippedPackets;
-                rejects += mote.collector.rejected;
-            }
-            size_t sent = fleet.totalRecordsSent();
-            size_t delivered = fleet.totalRecordsDelivered();
+            uint64_t retrans = 0;
+            for (const auto &mote : fleet.motes)
+                retrans += mote.transfer.uplink.retransmissions;
+            auto stats = sink->stats();
+            uint64_t sent = fleet.recordsSent;
+            uint64_t delivered = fleet.totalRecords;
             double delivered_pct =
                 sent ? 100.0 * double(delivered) / double(sent) : 0.0;
 
             table.row(loss, retransmit ? "on" : "off", sent, delivered,
-                      delivered_pct, fleet.completeMotes(), retrans,
-                      skipped, rejects, fleet.maxThetaError(),
-                      fleet.meanThetaError());
+                      delivered_pct, fleet.completeMotes, retrans,
+                      stats.skippedPackets, stats.rejected,
+                      fleet.maxThetaError, fleet.meanThetaError);
             // Throughput is wall-clock and thus nondeterministic: report
             // it on the side, never in the diffable table/CSV.
             if (elapsed_s > 0.0) {

@@ -156,7 +156,7 @@ main(int argc, char **argv)
                 uint64_t baseline = result.ingestFrameBytes *
                                     uint64_t(std::max<size_t>(depth, 1));
                 double pct = baseline
-                                 ? 100.0 * double(result.totalWireBytes()) /
+                                 ? 100.0 * double(result.totalWireBytes) /
                                        double(baseline)
                                  : 0.0;
 
@@ -166,7 +166,7 @@ main(int argc, char **argv)
                 sim::SimConfig sim_config;
                 sim_config.cyclesPerTick = config.cyclesPerTick;
                 double nested_probe =
-                    2.0 * double(sim_config.costs.timerRead);
+                    sim::nestedProbeCycles(sim_config.costs);
                 net::EstimatorBank fresh(*workload.module, lowered,
                                          sim_config.costs,
                                          sim_config.policy,
@@ -187,9 +187,9 @@ main(int argc, char **argv)
 
                 perf.row("sweep", fanout, depth, rateLabel(loss),
                          result.ingestSeconds, result.aggregateSeconds,
-                         result.totalWireBytes(), result.totalImageBytes(),
-                         baseline, pct, result.totalFragmentsSent(),
-                         result.totalRetransmissions(),
+                         result.totalWireBytes, result.totalImageBytes,
+                         baseline, pct, result.totalFragmentsSent,
+                         result.totalRetransmissions,
                          result.failedLinks, adopt_us, estimate_us);
             }
         }

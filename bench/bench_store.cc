@@ -44,7 +44,7 @@ makeBank(const workloads::Workload &workload,
 {
     return net::EstimatorBank(*workload.module, lowered, config.costs,
                               config.policy, config.cyclesPerTick, {},
-                              2.0 * config.costs.timerRead);
+                              sim::nestedProbeCycles(config.costs));
 }
 
 } // namespace

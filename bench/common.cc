@@ -218,7 +218,7 @@ estimateFromTrace(const workloads::Workload &workload,
     auto estimator = tomography::makeEstimator(kind, options);
     return tomography::estimateModule(
         *workload.module, lowered, config.costs, config.policy,
-        cycles_per_tick, 2.0 * double(config.costs.timerRead), trace,
+        cycles_per_tick, sim::nestedProbeCycles(config.costs), trace,
         *estimator);
 }
 

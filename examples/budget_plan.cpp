@@ -272,7 +272,7 @@ runFleet(const CliArgs &args)
             seen = seen || plans[j].layoutDigest == plans[i].layoutDigest;
         distinct += seen ? 0 : 1;
     }
-    std::cout << "\ncampaign: " << campaign.totalRecords()
+    std::cout << "\ncampaign: " << campaign.totalRecords
               << " records into " << campaign.estimators
               << " estimators; " << distinct
               << " distinct layout(s) across " << plans.size()

@@ -57,10 +57,10 @@ main(int argc, char **argv)
     auto lowered = sim::lowerModule(*workload.module);
     auto means = tomography::meanCyclesBottomUp(
         *workload.module, lowered, config.costs, config.policy, ticks,
-        run.profile, 2.0 * config.costs.timerRead);
+        run.profile, sim::nestedProbeCycles(config.costs));
     tomography::TimingModel model(
         workload.entryProc(), lowered.procs[workload.entry], config.costs,
-        config.policy, ticks, means, 2.0 * config.costs.timerRead);
+        config.policy, ticks, means, sim::nestedProbeCycles(config.costs));
 
     auto estimator =
         tomography::makeEstimator(tomography::EstimatorKind::Linear, {});

@@ -29,7 +29,7 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv,
                  {"workload", "motes", "records", "shards", "jobs", "seed",
-                  "store", "locking"});
+                  "store"});
     auto workload =
         workloads::workloadByName(args.get("workload", "event_dispatch"));
 
@@ -40,8 +40,6 @@ main(int argc, char **argv)
     config.jobs = size_t(args.getLong("jobs", 0));
     config.seed = uint64_t(args.getLong("seed", 1));
     config.collector.storeDir = args.get("store", "");
-    if (args.get("locking", "shard") == "global")
-        config.collector.locking = fleet::Locking::Global;
 
     std::cout << "workload: " << workload.name << " — "
               << workload.description << "\n"
@@ -65,7 +63,7 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    std::cout << "\ncampaign: " << result.totalRecords() << " records in "
+    std::cout << "\ncampaign: " << result.totalRecords << " records in "
               << std::fixed << std::setprecision(3) << result.ingestSeconds
               << " s  ("
               << std::setprecision(0) << result.recordsPerSecond()

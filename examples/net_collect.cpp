@@ -16,7 +16,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "net/fleet.hh"
+#include "fleet/fleet.hh"
 #include "sim/machine.hh"
 #include "util/cli.hh"
 #include "util/csv.hh"
@@ -58,7 +58,7 @@ main(int argc, char **argv)
 
     net::EstimatorBank bank(*workload.module, lowered, sim_config.costs,
                             sim_config.policy, sim_config.cyclesPerTick, {},
-                            2.0 * double(sim_config.costs.timerRead));
+                            sim::nestedProbeCycles(sim_config.costs));
     net::SinkCollector sink;
     // Wrap the bank's sink to snapshot theta at each quarter of the
     // mote's record stream as it arrives at the sink.
@@ -116,25 +116,27 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     // --- The whole fleet: eight motes, one sink per-mote summary. ---
-    net::FleetConfig fleet_config;
+    fleet::ShardedFleetConfig fleet_config;
     fleet_config.motes = 8;
     fleet_config.invocations = samples;
     fleet_config.seed = seed;
+    fleet_config.collector.shards = 1;
     fleet_config.channel = faults;
-    auto fleet = net::runFleet(workload, fleet_config);
+    auto fleet = fleet::runShardedFleet(workload, fleet_config);
 
     TablePrinter table("fleet: 8 motes over the lossy link");
     table.setHeader({"mote", "sent", "delivered", "packets", "complete",
                      "rounds", "retrans", "max |est-true|"});
     for (const auto &m : fleet.motes) {
-        table.row(m.mote, m.recordsSent, m.recordsDelivered, m.packets,
-                  m.complete ? "yes" : "no", m.rounds,
-                  m.uplink.retransmissions, m.maxThetaError);
+        table.row(m.mote, m.recordsSent, m.recordsDelivered,
+                  m.transfer.packets, m.transfer.complete ? "yes" : "no",
+                  m.transfer.rounds, m.transfer.uplink.retransmissions,
+                  m.maxThetaError);
     }
     table.print(std::cout);
-    std::cout << "\nfleet: " << fleet.totalRecordsDelivered() << "/"
-              << fleet.totalRecordsSent() << " records delivered, "
-              << fleet.completeMotes() << "/8 motes complete, worst "
-              << "estimate error " << fleet.maxThetaError() << "\n";
+    std::cout << "\nfleet: " << fleet.totalRecords << "/"
+              << fleet.recordsSent << " records delivered, "
+              << fleet.completeMotes << "/8 motes complete, worst "
+              << "estimate error " << fleet.maxThetaError << "\n";
     return 0;
 }

@@ -119,7 +119,7 @@ main(int argc, char **argv)
             tomography::makeEstimator(tomography::EstimatorKind::Em, {});
         auto estimate = tomography::estimateModule(
             *workload.module, lowered, config.costs, config.policy, 4,
-            2.0 * config.costs.timerRead, run.trace, *estimator);
+            sim::nestedProbeCycles(config.costs), run.trace, *estimator);
 
         // A small staging buffer for timestamp records; no counters.
         constexpr size_t tomo_ram = 16;

@@ -77,9 +77,9 @@ main(int argc, char **argv)
               << result.leafCount << " sinks in " << std::fixed
               << std::setprecision(3) << result.ingestSeconds
               << " s; aggregation " << result.aggregateSeconds << " s, "
-              << result.totalWireBytes() << " wire bytes ("
-              << result.totalImageBytes() << " image bytes, "
-              << result.totalRetransmissions() << " retransmissions, "
+              << result.totalWireBytes << " wire bytes ("
+              << result.totalImageBytes << " image bytes, "
+              << result.totalRetransmissions << " retransmissions, "
               << result.failedLinks << " failed links)\n"
               << "root:   " << result.estimators << " estimators, digest "
               << std::hex << std::showbase << result.rootDigest << "\n"

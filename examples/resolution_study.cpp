@@ -58,15 +58,15 @@ main(int argc, char **argv)
             tomography::makeEstimator(tomography::EstimatorKind::Em, {});
         auto estimate = tomography::estimateModule(
             *workload.module, lowered, config.costs, config.policy, ticks,
-            2.0 * config.costs.timerRead, run.trace, *estimator);
+            sim::nestedProbeCycles(config.costs), run.trace, *estimator);
 
         auto means = tomography::meanCyclesBottomUp(
             *workload.module, lowered, config.costs, config.policy, ticks,
-            run.profile, 2.0 * config.costs.timerRead);
+            run.profile, sim::nestedProbeCycles(config.costs));
         tomography::TimingModel model(proc, lowered.procs[workload.entry],
                                       config.costs, config.policy, ticks,
                                       means,
-                                      2.0 * config.costs.timerRead);
+                                      sim::nestedProbeCycles(config.costs));
         auto truth = run.profile[workload.entry].branchProbabilities(proc);
         auto diags = model.branchDiagnostics(truth);
 

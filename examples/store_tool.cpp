@@ -229,7 +229,7 @@ cmdDemo(const std::string &dir, const CliArgs &args)
     store::Store store(dir, config);
     net::EstimatorBank bank(*workload.module, lowered, sim_config.costs,
                             sim_config.policy, sim_config.cyclesPerTick, {},
-                            2.0 * sim_config.costs.timerRead);
+                            sim::nestedProbeCycles(sim_config.costs));
     const auto &records = trace.records();
     for (size_t i = 0; i < records.size(); ++i) {
         store.append(1, records[i]);

@@ -8,6 +8,7 @@
 #include "stats/metrics.hh"
 #include "store/store.hh"
 #include "util/logging.hh"
+#include "workloads/campaign.hh"
 
 namespace ct::api {
 
@@ -17,15 +18,6 @@ RelayOutcome::totalWireBytes() const
     uint64_t total = 0;
     for (const auto &ship : shipments)
         total += ship.wireBytes;
-    return total;
-}
-
-uint64_t
-RelayOutcome::totalRounds() const
-{
-    uint64_t total = 0;
-    for (const auto &ship : shipments)
-        total += ship.rounds;
     return total;
 }
 
@@ -75,25 +67,17 @@ TomographyPipeline::TomographyPipeline(workloads::Workload workload,
     : workload_(std::move(workload)), config_(std::move(config))
 {
     CT_ASSERT(workload_.module != nullptr, "workload has no module");
+    natural_ = sim::lowerModule(*workload_.module);
 }
 
 sim::RunResult
 TomographyPipeline::measure()
 {
-    return measureWith(sim::lowerModule(*workload_.module));
-}
-
-sim::RunResult
-TomographyPipeline::measureWith(const sim::LoweredModule &lowered)
-{
     CT_SPAN("pipeline.measure");
     obs::StopwatchUs watch;
-    sim::SimConfig cfg = config_.sim;
-    cfg.timingProbes = true;
-    auto inputs = workload_.makeInputs(config_.seed);
-    sim::Simulator simulator(*workload_.module, lowered, cfg,
-                             *inputs, config_.seed ^ 0x6d656173);
-    auto run = simulator.run(workload_.entry, config_.measureInvocations);
+    auto run = workloads::measureLane(workload_, natural_, config_.sim,
+                                      config_.seed,
+                                      config_.measureInvocations);
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();
         m.histogram("pipeline.measure_us").record(watch.elapsedUs());
@@ -111,7 +95,8 @@ TomographyPipeline::transport(const trace::TimingTrace &trace,
     CT_SPAN("pipeline.transport");
     obs::StopwatchUs watch;
     const TransportConfig &cfg = config_.transport;
-    uint64_t seed = cfg.seed ? cfg.seed : config_.seed ^ 0x6e657477;
+    uint64_t seed =
+        cfg.seed ? cfg.seed : workloads::transportSeed(config_.seed);
 
     net::CollectorConfig collector_cfg = cfg.collector;
     if (!cfg.storeDir.empty()) {
@@ -137,18 +122,9 @@ TomographyPipeline::transport(const trace::TimingTrace &trace,
     }
 
     if (obs::metricsEnabled()) {
-        auto &m = obs::metrics();
-        m.histogram("pipeline.transport_us").record(watch.elapsedUs());
-        m.counter("net.packets_sent").add(transfer.uplink.transmissions);
-        m.counter("net.packets_retransmitted")
-            .add(transfer.uplink.retransmissions);
-        m.counter("net.packets_dropped").add(transfer.channel.dropped);
-        m.counter("net.packets_duplicated").add(transfer.channel.duplicated);
-        m.counter("net.packets_corrupted").add(transfer.channel.corrupted);
-        m.counter("net.packets_crc_rejected").add(sink.stats().rejected);
-        m.counter("net.packets_deduped").add(sink.stats().duplicates);
-        m.counter("net.records_delivered")
-            .add(sink.stats().recordsDelivered);
+        obs::metrics().histogram("pipeline.transport_us")
+            .record(watch.elapsedUs());
+        net::recordTransferMetrics(transfer, sink.stats());
     }
 
     if (cfg.resumeFromStore && sink.store()) {
@@ -203,22 +179,11 @@ TomographyPipeline::recoverTrace(const std::string &store_dir)
 tomography::ModuleEstimate
 TomographyPipeline::estimate(const trace::TimingTrace &trace)
 {
-    return estimateWith(trace, sim::lowerModule(*workload_.module));
-}
-
-tomography::ModuleEstimate
-TomographyPipeline::estimateWith(const trace::TimingTrace &trace,
-                                 const sim::LoweredModule &lowered)
-{
     CT_SPAN("pipeline.estimate");
     obs::StopwatchUs watch;
-    auto estimator =
-        tomography::makeEstimator(config_.estimator,
-                                  config_.estimatorOptions);
-    double nested_probe_cycles = 2.0 * double(config_.sim.costs.timerRead);
-    auto estimate = tomography::estimateModule(
-        *workload_.module, lowered, config_.sim.costs, config_.sim.policy,
-        config_.sim.cyclesPerTick, nested_probe_cycles, trace, *estimator);
+    auto estimate = workloads::estimateTrace(
+        workload_, natural_, config_.sim, config_.estimator,
+        config_.estimatorOptions, trace);
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();
         m.histogram("pipeline.estimate_us").record(watch.elapsedUs());
@@ -234,15 +199,6 @@ causal::CausalProfile
 TomographyPipeline::causalProfile(const sim::RunResult &measure_run,
                                   const tomography::ModuleEstimate &estimate)
 {
-    return causalWith(sim::lowerModule(*workload_.module), measure_run,
-                      estimate);
-}
-
-causal::CausalProfile
-TomographyPipeline::causalWith(const sim::LoweredModule &lowered,
-                               const sim::RunResult &measure_run,
-                               const tomography::ModuleEstimate &estimate)
-{
     CT_SPAN("pipeline.causal");
     obs::StopwatchUs watch;
     const CausalConfig &cfg = config_.causalProfile;
@@ -252,7 +208,7 @@ TomographyPipeline::causalWith(const sim::LoweredModule &lowered,
             ? causal::thetaFromProfile(*workload_.module,
                                        measure_run.profile)
             : causal::normalizeTheta(*workload_.module, estimate.thetas);
-    causal::Engine engine(*workload_.module, lowered, config_.sim.costs,
+    causal::Engine engine(*workload_.module, natural_, config_.sim.costs,
                           config_.sim.policy, workload_.entry,
                           std::move(theta));
 
@@ -279,8 +235,16 @@ TomographyPipeline::causalWith(const sim::LoweredModule &lowered,
 tomography::ModuleEstimate
 TomographyPipeline::adoptFromSnapshot(const relay::Snapshot &snapshot)
 {
-    return estimateFromSnapshotWith(sim::lowerModule(*workload_.module),
-                                    snapshot);
+    CT_SPAN("pipeline.adopt");
+    obs::StopwatchUs watch;
+    auto estimate = relay::estimateFromSnapshot(
+        *workload_.module, natural_, config_.sim.costs, config_.sim.policy,
+        config_.sim.cyclesPerTick, sim::nestedProbeCycles(config_.sim.costs),
+        config_.estimatorOptions, snapshot);
+    if (obs::metricsEnabled())
+        obs::metrics().histogram("pipeline.adopt_us")
+            .record(watch.elapsedUs());
+    return estimate;
 }
 
 std::optional<tomography::ModuleEstimate>
@@ -292,40 +256,23 @@ TomographyPipeline::adoptFromSnapshotFile(const std::string &path)
     return adoptFromSnapshot(*snapshot);
 }
 
-tomography::ModuleEstimate
-TomographyPipeline::estimateFromSnapshotWith(
-    const sim::LoweredModule &lowered, const relay::Snapshot &snapshot)
-{
-    CT_SPAN("pipeline.adopt");
-    obs::StopwatchUs watch;
-    double nested_probe_cycles = 2.0 * double(config_.sim.costs.timerRead);
-    auto estimate = relay::estimateFromSnapshot(
-        *workload_.module, lowered, config_.sim.costs, config_.sim.policy,
-        config_.sim.cyclesPerTick, nested_probe_cycles,
-        config_.estimatorOptions, snapshot);
-    if (obs::metricsEnabled())
-        obs::metrics().histogram("pipeline.adopt_us")
-            .record(watch.elapsedUs());
-    return estimate;
-}
-
 void
-TomographyPipeline::relayWith(const sim::LoweredModule &lowered,
-                              const trace::TimingTrace &delivered,
-                              PipelineResult &result)
+TomographyPipeline::relayStage(const trace::TimingTrace &delivered,
+                               PipelineResult &result)
 {
     CT_SPAN("pipeline.relay");
     obs::StopwatchUs watch;
     const RelayConfig &cfg = config_.relay;
-    uint64_t base_seed = cfg.seed ? cfg.seed : config_.seed ^ 0x72656c79;
+    uint64_t base_seed =
+        cfg.seed ? cfg.seed : workloads::relaySeed(config_.seed);
 
     // The sink condenses its delivered records into an estimator bank
     // — the same online state a deployed sink holds — and ships that,
     // not the trace: O(paths + branches) bytes instead of O(records).
-    double nested_probe_cycles = 2.0 * double(config_.sim.costs.timerRead);
-    net::EstimatorBank bank(*workload_.module, lowered, config_.sim.costs,
+    net::EstimatorBank bank(*workload_.module, natural_, config_.sim.costs,
                             config_.sim.policy, config_.sim.cyclesPerTick,
-                            config_.estimatorOptions, nested_probe_cycles);
+                            config_.estimatorOptions,
+                            sim::nestedProbeCycles(config_.sim.costs));
     uint16_t mote = config_.transport.moteId;
     for (const auto &record : delivered.records())
         bank.observe(mote, record);
@@ -345,7 +292,7 @@ TomographyPipeline::relayWith(const sim::LoweredModule &lowered,
         snapshot.sourceNode = uint16_t(hop);
         relay::ShipOutcome ship;
         auto received = relay::shipAndReceive(
-            snapshot, cfg.ship, base_seed + 0x9e3779b97f4a7c15ULL * hop,
+            snapshot, cfg.ship, workloads::relayHopSeed(base_seed, hop),
             ship);
         out.imageBytes = ship.imageBytes;
         out.shipments.push_back(ship);
@@ -363,7 +310,7 @@ TomographyPipeline::relayWith(const sim::LoweredModule &lowered,
         inform("wrote relay snapshot ", cfg.snapshotOut);
     }
     if (alive && cfg.estimateFromSnapshot) {
-        result.estimate = estimateFromSnapshotWith(lowered, snapshot);
+        result.estimate = adoptFromSnapshot(snapshot);
         out.estimateFromSnapshot = true;
     }
     if (obs::metricsEnabled()) {
@@ -379,20 +326,13 @@ TomographyPipeline::relayWith(const sim::LoweredModule &lowered,
 BudgetOutcome
 TomographyPipeline::planBudget(const tomography::ModuleEstimate &estimate)
 {
-    return budgetWith(sim::lowerModule(*workload_.module), estimate);
-}
-
-BudgetOutcome
-TomographyPipeline::budgetWith(const sim::LoweredModule &lowered,
-                               const tomography::ModuleEstimate &estimate)
-{
     CT_SPAN("pipeline.budget");
     obs::StopwatchUs watch;
     const BudgetConfig &cfg = config_.budget;
 
     auto theta = causal::normalizeTheta(*workload_.module, estimate.thetas);
     auto instance = budget::buildInstance(
-        *workload_.module, lowered, config_.sim.costs, config_.sim.policy,
+        *workload_.module, natural_, config_.sim.costs, config_.sim.policy,
         workload_.entry, theta, estimate.profile, cfg.spec, cfg.options);
 
     BudgetOutcome out;
@@ -422,9 +362,8 @@ TomographyPipeline::optimize(const ir::ModuleProfile &profile)
 {
     CT_SPAN("pipeline.optimize");
     obs::StopwatchUs watch;
-    Rng rng(config_.seed ^ 0x6c61796f);
-    auto orders = layout::computeModuleOrders(
-        *workload_.module, profile, layout::LayoutKind::ProfileGuided, rng);
+    auto orders =
+        workloads::placeFromProfile(*workload_.module, profile, config_.seed);
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();
         m.histogram("pipeline.optimize_us").record(watch.elapsedUs());
@@ -439,15 +378,9 @@ TomographyPipeline::evaluate(const std::string &name,
 {
     CT_SPAN("pipeline.evaluate");
     obs::StopwatchUs watch;
-    sim::SimConfig cfg = config_.sim;
-    cfg.timingProbes = false; // deployment build: no probes
-    auto lowered = sim::lowerModule(*workload_.module, orders);
-    // Same input seed across placements: identical event sequences, so
-    // cycle differences are attributable to placement alone.
-    auto inputs = workload_.makeInputs(config_.seed + 1);
-    sim::Simulator simulator(*workload_.module, std::move(lowered), cfg,
-                             *inputs, config_.seed ^ 0x6576616c);
-    auto run = simulator.run(workload_.entry, config_.evalInvocations);
+    // Deployment build (no probes); every placement sees the same events.
+    auto run = workloads::evaluateLane(workload_, orders, config_.sim,
+                                       config_.seed, config_.evalInvocations);
 
     LayoutOutcome out;
     out.name = name;
@@ -512,10 +445,7 @@ TomographyPipeline::runStages()
 {
     CT_SPAN("pipeline.run");
     PipelineResult result;
-    // Lower the natural layout once; measure and estimate both consume
-    // it (they used to lower redundantly, once each).
-    auto lowered = sim::lowerModule(*workload_.module);
-    result.measureRun = measureWith(lowered);
+    result.measureRun = measure();
     trace::TimingTrace delivered;
     if (config_.transport.enabled) {
         // Estimate from what actually crossed the simulated radio link,
@@ -524,12 +454,12 @@ TomographyPipeline::runStages()
     } else {
         delivered = result.measureRun.trace;
     }
-    result.estimate = estimateWith(delivered, lowered);
+    result.estimate = estimate(delivered);
 
     // Snapshot shipping up the aggregation tiers; may replace the
     // estimate with the root's snapshot-derived one (config.relay).
     if (config_.relay.enabled)
-        relayWith(lowered, delivered, result);
+        relayStage(delivered, result);
 
     // Accuracy scoring over every procedure that was actually invoked
     // and has at least one conditional branch.
@@ -556,21 +486,20 @@ TomographyPipeline::runStages()
     }
 
     if (config_.causalProfile.enabled)
-        result.causal =
-            causalWith(lowered, result.measureRun, result.estimate);
+        result.causal = causalProfile(result.measureRun, result.estimate);
 
     // Budget-constrained selection over the estimate (the chosen mixed
     // layout joins the evaluation fan-out below as "budget").
     if (config_.budget.enabled)
-        result.budget = budgetWith(lowered, result.estimate);
+        result.budget = planBudget(result.estimate);
 
     // Candidate placements.
-    Rng rng(config_.seed ^ 0x72616e64);
+    Rng rng(workloads::candidateSeed(config_.seed));
     const auto &module = *workload_.module;
 
     // Orders are computed serially (they share one Rng stream), then
-    // the evaluations — each with its own Simulator, seeded only
-    // by the placement — fan out over the pool. parallelMap writes
+    // the evaluations — each with its own simulator, seeded only
+    // by the campaign seed — fan out over the pool. parallelMap writes
     // outcome i to slot i, so the result is bit-identical to the old
     // serial loop for every jobs value.
     struct Candidate
@@ -579,23 +508,16 @@ TomographyPipeline::runStages()
         std::vector<sim::BlockOrder> orders;
     };
     std::vector<Candidate> candidates;
-    candidates.push_back(
-        {"natural",
-         layout::computeModuleOrders(module, result.measureRun.profile,
-                                     layout::LayoutKind::Natural, rng)});
-    candidates.push_back(
-        {"random",
-         layout::computeModuleOrders(module, result.measureRun.profile,
-                                     layout::LayoutKind::Random, rng)});
-    candidates.push_back(
-        {"dfs",
-         layout::computeModuleOrders(module, result.measureRun.profile,
-                                     layout::LayoutKind::Dfs, rng)});
+    auto baseline = [&](const char *name, layout::LayoutKind kind) {
+        candidates.push_back(
+            {name, layout::computeModuleOrders(
+                       module, result.measureRun.profile, kind, rng)});
+    };
+    baseline("natural", layout::LayoutKind::Natural);
+    baseline("random", layout::LayoutKind::Random);
+    baseline("dfs", layout::LayoutKind::Dfs);
     candidates.push_back({"tomography", optimize(result.estimate.profile)});
-    candidates.push_back(
-        {"perfect",
-         layout::computeModuleOrders(module, result.measureRun.profile,
-                                     layout::LayoutKind::ProfileGuided, rng)});
+    baseline("perfect", layout::LayoutKind::ProfileGuided);
     if (config_.budget.enabled)
         candidates.push_back({"budget", result.budget.orders});
 

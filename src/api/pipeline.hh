@@ -260,7 +260,6 @@ struct RelayOutcome
     std::vector<relay::ShipOutcome> shipments;
 
     uint64_t totalWireBytes() const;
-    uint64_t totalRounds() const;
 };
 
 /** One procedure's budget decision, for reporting. */
@@ -441,34 +440,20 @@ class TomographyPipeline
     /** The four stages under one root span, sans exporter handling. */
     PipelineResult runStages();
 
-    /// @name Stage bodies taking an already-lowered module
-    /// runStages() lowers the natural layout once and feeds it to both;
-    /// the public measure()/estimate() wrappers lower on demand.
-    /// @{
-    sim::RunResult measureWith(const sim::LoweredModule &lowered);
-    tomography::ModuleEstimate estimateWith(const trace::TimingTrace &trace,
-                                            const sim::LoweredModule &lowered);
-    causal::CausalProfile causalWith(
-        const sim::LoweredModule &lowered, const sim::RunResult &measure_run,
-        const tomography::ModuleEstimate &estimate);
     /**
      * The relay stage body: condense @p delivered into a bank, ship
      * the snapshot across config.relay.hops chained lossy links, and
      * fill @p result.relay (possibly replacing result.estimate when
      * estimateFromSnapshot is set and every hop completed).
      */
-    void relayWith(const sim::LoweredModule &lowered,
-                   const trace::TimingTrace &delivered,
-                   PipelineResult &result);
-    tomography::ModuleEstimate
-    estimateFromSnapshotWith(const sim::LoweredModule &lowered,
-                             const relay::Snapshot &snapshot);
-    BudgetOutcome budgetWith(const sim::LoweredModule &lowered,
-                             const tomography::ModuleEstimate &estimate);
-    /// @}
+    void relayStage(const trace::TimingTrace &delivered,
+                    PipelineResult &result);
 
     workloads::Workload workload_;
     PipelineConfig config_;
+    /** The natural layout, lowered once: what every probed stage
+     *  (measure, estimate, causal, relay, budget) runs against. */
+    sim::LoweredModule natural_;
 };
 
 } // namespace ct::api

@@ -47,7 +47,7 @@ renderReport(const workloads::Workload &workload,
         // Fit checks need per-procedure timing models; rebuild them from
         // the estimate's own callee means/variances (no ground truth).
         auto lowered = sim::lowerModule(*workload.module);
-        double probe_cycles = 2.0 * double(config.sim.costs.timerRead);
+        double probe_cycles = sim::nestedProbeCycles(config.sim.costs);
 
         TablePrinter table("estimator diagnostics (per procedure)");
         table.setHeader({"procedure", "paths", "reward classes",

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <mutex>
 
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace ct::check {
@@ -87,11 +88,7 @@ uint64_t
 hashName(const std::string &name)
 {
     // FNV-1a, folded through splitmix for avalanche.
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : name) {
-        h ^= uint8_t(c);
-        h *= 0x100000001b3ULL;
-    }
+    uint64_t h = fnv1a(name.data(), name.size());
     return splitmix64(h);
 }
 

@@ -13,9 +13,9 @@
 #include "api/pipeline.hh"
 #include "causal/causal.hh"
 #include "check/gen.hh"
+#include "fleet/fleet.hh"
 #include "ir/verify.hh"
 #include "net/collector.hh"
-#include "net/fleet.hh"
 #include "net/packet.hh"
 #include "net/uplink.hh"
 #include "sim/lower.hh"
@@ -25,7 +25,7 @@
 #include "tomography/streaming.hh"
 #include "tomography/timing_model.hh"
 #include "trace/wire_format.hh"
-#include "workloads/workload.hh"
+#include "workloads/campaign.hh"
 
 namespace ct::check {
 
@@ -152,7 +152,7 @@ estimatorRoundTripOracle(const CfgScenario &scenario,
     auto estimator = tomography::makeEstimator(config.kind, {});
     auto estimate = tomography::estimateModule(
         *sim.program.module, sim.lowered, sim.config.costs, sim.config.policy,
-        sim.config.cyclesPerTick, 2.0 * sim.config.costs.timerRead,
+        sim.config.cyclesPerTick, sim::nestedProbeCycles(sim.config.costs),
         sim.run.trace, *estimator);
 
     // Reward-class aliasing makes some random CFGs fundamentally
@@ -166,7 +166,7 @@ estimatorRoundTripOracle(const CfgScenario &scenario,
     tomography::TimingModel model(
         proc, sim.lowered.procs[sim.program.entry], sim.config.costs,
         sim.config.policy, sim.config.cyclesPerTick, no_callees,
-        2.0 * sim.config.costs.timerRead);
+        sim::nestedProbeCycles(sim.config.costs));
     auto truth =
         sim.run.profile[sim.program.entry].branchProbabilities(proc);
     auto diags = model.branchDiagnostics(truth);
@@ -206,11 +206,11 @@ emVsMomentOracle(const CfgScenario &scenario)
         tomography::makeEstimator(tomography::EstimatorKind::Moment, {});
     auto em_est = tomography::estimateModule(
         *sim.program.module, sim.lowered, sim.config.costs, sim.config.policy,
-        sim.config.cyclesPerTick, 2.0 * sim.config.costs.timerRead,
+        sim.config.cyclesPerTick, sim::nestedProbeCycles(sim.config.costs),
         sim.run.trace, *em);
     auto mo_est = tomography::estimateModule(
         *sim.program.module, sim.lowered, sim.config.costs, sim.config.policy,
-        sim.config.cyclesPerTick, 2.0 * sim.config.costs.timerRead,
+        sim.config.cyclesPerTick, sim::nestedProbeCycles(sim.config.costs),
         sim.run.trace, *moment);
 
     if (em_est.results[sim.program.entry].aliasedMass > 0.02)
@@ -220,7 +220,7 @@ emVsMomentOracle(const CfgScenario &scenario)
     tomography::TimingModel model(
         proc, sim.lowered.procs[sim.program.entry], sim.config.costs,
         sim.config.policy, sim.config.cyclesPerTick, no_callees,
-        2.0 * sim.config.costs.timerRead);
+        sim::nestedProbeCycles(sim.config.costs));
     auto truth =
         sim.run.profile[sim.program.entry].branchProbabilities(proc);
     auto diags = model.branchDiagnostics(truth);
@@ -341,14 +341,14 @@ arqLosslessEquivalenceOracle(const ArqScenario &scenario)
     // durations (synthetic traces would all be outliers).
     auto workload = workloads::workloadByName("crc16");
     sim::SimConfig config;
-    auto inputs = workload.makeInputs(scenario.traceSeed);
     auto lowered = sim::lowerModule(*workload.module);
-    sim::Simulator simulator(*workload.module, lowered, config, *inputs,
-                             scenario.traceSeed ^ 0x5eed);
-    auto run = simulator.run(workload.entry, scenario.records);
+    auto run = workloads::simulateMote(
+        workload, lowered, config,
+        {.sim = scenario.traceSeed ^ 0x5eed, .inputs = scenario.traceSeed},
+        scenario.records);
     const trace::TimingTrace &trace = run.trace;
 
-    const double nested_probes = 2.0 * config.costs.timerRead;
+    const double nested_probes = sim::nestedProbeCycles(config.costs);
 
     // Lossless reference: records straight into an estimator bank.
     net::EstimatorBank reference(*workload.module, lowered, config.costs,
@@ -463,16 +463,16 @@ storeCrashRecoveryOracle(const StoreScenario &scenario)
     // (and the persisted records carry realistic tick magnitudes).
     auto workload = workloads::workloadByName("crc16");
     sim::SimConfig config;
-    auto inputs = workload.makeInputs(scenario.traceSeed);
     auto lowered = sim::lowerModule(*workload.module);
-    sim::Simulator simulator(*workload.module, lowered, config, *inputs,
-                             scenario.traceSeed ^ 0x570e);
-    auto run = simulator.run(workload.entry, scenario.records);
+    auto run = workloads::simulateMote(
+        workload, lowered, config,
+        {.sim = scenario.traceSeed ^ 0x570e, .inputs = scenario.traceSeed},
+        scenario.records);
     const auto &records = run.trace.records();
     if (records.empty())
         return skipCase();
 
-    const double nested_probes = 2.0 * config.costs.timerRead;
+    const double nested_probes = sim::nestedProbeCycles(config.costs);
     auto make_bank = [&] {
         return net::EstimatorBank(*workload.module, lowered, config.costs,
                                   config.policy, config.cyclesPerTick, {},
@@ -927,7 +927,7 @@ fleetJobsInvarianceOracle(const std::string &workload_name, uint64_t seed,
                           size_t motes, size_t invocations,
                           const net::ChannelConfig &channel, size_t jobs)
 {
-    net::FleetConfig config;
+    fleet::ShardedFleetConfig config;
     config.motes = motes;
     config.invocations = invocations;
     config.seed = seed;
@@ -935,11 +935,16 @@ fleetJobsInvarianceOracle(const std::string &workload_name, uint64_t seed,
 
     auto workload = workloads::workloadByName(workload_name);
     config.jobs = 1;
-    auto a = net::runFleet(workload, config);
+    config.collector.shards = 1;
+    auto a = fleet::runShardedFleet(workload, config);
     config.jobs = jobs;
-    auto b = net::runFleet(workload, config);
+    config.collector.shards = jobs;
+    auto b = fleet::runShardedFleet(workload, config);
 
     Differ d;
+    d.eq("mergedDigest", a.mergedDigest, b.mergedDigest);
+    d.eq("totalFrames", a.totalFrames, b.totalFrames);
+    d.eq("totalRecords", a.totalRecords, b.totalRecords);
     d.eq("mote count", a.motes.size(), b.motes.size());
     if (d.same()) {
         for (size_t i = 0; i < a.motes.size(); ++i) {
@@ -949,19 +954,15 @@ fleetJobsInvarianceOracle(const std::string &workload_name, uint64_t seed,
             d.eq("recordsSent", x.recordsSent, y.recordsSent);
             d.eq("recordsDelivered", x.recordsDelivered,
                  y.recordsDelivered);
-            d.eq("wireBytes", x.wireBytes, y.wireBytes);
-            d.eq("packets", x.packets, y.packets);
-            d.eq("complete", x.complete, y.complete);
-            d.eq("rounds", x.rounds, y.rounds);
-            d.eq("channel.dropped", x.channel.dropped, y.channel.dropped);
-            d.eq("channel.delivered", x.channel.delivered,
-                 y.channel.delivered);
-            d.eq("uplink.transmissions", x.uplink.transmissions,
-                 y.uplink.transmissions);
-            d.eq("collector.accepted", x.collector.accepted,
-                 y.collector.accepted);
-            d.eq("estObservations", x.estObservations, y.estObservations);
-            d.eq("estOutliers", x.estOutliers, y.estOutliers);
+            const auto &xt = x.transfer, &yt = y.transfer;
+            d.eq("packets", xt.packets, yt.packets);
+            d.eq("complete", xt.complete, yt.complete);
+            d.eq("rounds", xt.rounds, yt.rounds);
+            d.eq("channel.dropped", xt.channel.dropped, yt.channel.dropped);
+            d.eq("channel.delivered", xt.channel.delivered,
+                 yt.channel.delivered);
+            d.eq("uplink.transmissions", xt.uplink.transmissions,
+                 yt.uplink.transmissions);
             d.eqTheta("sinkTheta", x.sinkTheta, y.sinkTheta);
             d.eqTheta("trueTheta", x.trueTheta, y.trueTheta);
             d.eq("maxThetaError", x.maxThetaError, y.maxThetaError);
@@ -970,8 +971,9 @@ fleetJobsInvarianceOracle(const std::string &workload_name, uint64_t seed,
         }
     }
     if (!d.same())
-        return fmt("fleet jobs=1 vs jobs=%zu on '%s': ", jobs,
-                   workload_name.c_str()) +
+        return fmt("fleet 1 shard at jobs=1 vs %zu shards at jobs=%zu on "
+                   "'%s': ",
+                   jobs, jobs, workload_name.c_str()) +
                d.why();
     return std::nullopt;
 }

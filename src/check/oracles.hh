@@ -165,7 +165,12 @@ pipelineJobsInvarianceOracle(const std::string &workload_name, uint64_t seed,
                              size_t measure_invocations,
                              size_t eval_invocations, size_t jobs);
 
-/** Same contract for the fleet driver, under a lossy channel. */
+/**
+ * Same contract for a lossy fleet campaign: one shard at jobs=1 against
+ * @p jobs shards ingested by @p jobs workers. Every per-mote field and
+ * the merged digest must match, so neither the thread count nor the
+ * shard count may leak into a mote's seeds or its sink state.
+ */
 std::optional<std::string>
 fleetJobsInvarianceOracle(const std::string &workload_name, uint64_t seed,
                           size_t motes, size_t invocations,

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 
 #include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/machine.hh"
-#include "stats/rng.hh"
 #include "tomography/timing_model.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
+#include "workloads/campaign.hh"
 
 namespace fs = std::filesystem;
 
@@ -71,12 +73,7 @@ snapshotDigest(const std::vector<store::EstimatorSlot> &slots)
     checkpoint.walOrdinal = 0;
     checkpoint.slots = slots;
     auto bytes = encodeCheckpoint(checkpoint);
-    uint64_t hash = 14695981039346656037ULL; // FNV-1a offset basis
-    for (uint8_t byte : bytes) {
-        hash ^= byte;
-        hash *= 1099511628211ULL;
-    }
-    return hash;
+    return fnv1a(bytes.data(), bytes.size());
 }
 
 struct ShardedCollector::Shard
@@ -132,13 +129,6 @@ ShardedCollector::ShardedCollector(
 ShardedCollector::ShardedCollector(ShardedCollector &&) noexcept = default;
 ShardedCollector::~ShardedCollector() = default;
 
-std::unique_lock<std::mutex>
-ShardedCollector::lockFor(size_t shard)
-{
-    size_t victim = config_.locking == Locking::Global ? 0 : shard;
-    return std::unique_lock<std::mutex>(shards_[victim]->mutex);
-}
-
 std::optional<net::Ack>
 ShardedCollector::offer(const uint8_t *frame, size_t size)
 {
@@ -148,7 +138,7 @@ ShardedCollector::offer(const uint8_t *frame, size_t size)
         size >= 2 ? uint16_t(uint16_t(frame[0]) | uint16_t(frame[1]) << 8)
                   : 0;
     size_t shard = layout_.shardOf(mote);
-    auto lock = lockFor(shard);
+    std::lock_guard lock(shards_[shard]->mutex);
     return shards_[shard]->sink.offer(frame, size);
 }
 
@@ -162,7 +152,7 @@ void
 ShardedCollector::finalizeMote(uint16_t mote)
 {
     size_t shard = layout_.shardOf(mote);
-    auto lock = lockFor(shard);
+    std::lock_guard lock(shards_[shard]->mutex);
     shards_[shard]->sink.finalize(mote);
 }
 
@@ -170,7 +160,7 @@ void
 ShardedCollector::evictMote(uint16_t mote)
 {
     size_t shard = layout_.shardOf(mote);
-    auto lock = lockFor(shard);
+    std::lock_guard lock(shards_[shard]->mutex);
     shards_[shard]->sink.evictMote(mote);
 }
 
@@ -178,7 +168,7 @@ void
 ShardedCollector::flush()
 {
     for (size_t shard = 0; shard < shards_.size(); ++shard) {
-        auto lock = lockFor(shard);
+        std::lock_guard lock(shards_[shard]->mutex);
         if (shards_[shard]->sink.store())
             shards_[shard]->sink.store()->flush();
     }
@@ -272,81 +262,27 @@ ShardedCollector::mergeInto(net::EstimatorBank &target) const
         target.mergeFrom(shard->bank);
 }
 
-namespace {
-
-int64_t
-monotonicNanos()
-{
-    using namespace std::chrono;
-    return duration_cast<nanoseconds>(
-               steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Independent seed stream for one template mote. */
-struct TemplateSeeds
-{
-    uint64_t sim, inputs;
-};
-
-TemplateSeeds
-seedsFor(uint64_t fleet_seed, size_t index)
-{
-    uint64_t state =
-        fleet_seed ^ 0x9e3779b97f4a7c15ULL * (uint64_t(index) + 1);
-    TemplateSeeds seeds;
-    seeds.sim = splitmix64(state);
-    seeds.inputs = splitmix64(state);
-    return seeds;
-}
-
-/** One logical mote's frames inside the arena. */
-struct MotePlan
-{
-    uint16_t wire = 0;
-    uint32_t firstFrame = 0;
-    uint32_t frameCount = 0;
-};
-
-/** Pre-framed campaign traffic: every frame of every logical mote,
- *  flat, grouped per shard — built outside the timed region. */
-struct FrameArena
-{
-    std::vector<uint8_t> bytes;
-    std::vector<std::pair<size_t, size_t>> frames; //!< (offset, size)
-    std::vector<std::vector<MotePlan>> perShard;
-};
-
 FrameArena
 buildArena(const workloads::Workload &workload,
            const sim::LoweredModule &lowered, const sim::SimConfig &sim_config,
-           const ShardedFleetConfig &config, const ShardLayout &layout)
+           const ShardedFleetConfig &config, size_t groups,
+           const std::function<size_t(size_t, uint16_t)> &group_of)
 {
-    // Simulate a few template motes; a campaign's motes re-stamp the
-    // template payloads with their own wire id (the header + CRC are
-    // per mote, the payload bytes are not).
     size_t templates = std::max<size_t>(1, std::min(config.templates,
                                                     config.motes));
     std::vector<std::vector<std::vector<uint8_t>>> payloads(templates);
     for (size_t t = 0; t < templates; ++t) {
-        TemplateSeeds seeds = seedsFor(config.seed, t);
-        auto inputs = workload.makeInputs(seeds.inputs);
-        sim::Simulator simulator(*workload.module, lowered, sim_config,
-                                 *inputs, seeds.sim);
-        auto run = simulator.run(workload.entry, config.invocations);
+        auto run = workloads::simulateMote(
+            workload, lowered, sim_config,
+            workloads::moteSeeds(config.seed, t), config.invocations);
         for (auto &packet :
              net::packetizeTrace(run.trace, /*mote=*/0, config.mtu))
             payloads[t].push_back(std::move(packet.payload));
     }
 
     FrameArena arena;
-    arena.perShard.resize(layout.shards());
+    arena.groups.resize(groups);
     for (size_t i = 0; i < config.motes; ++i) {
-        // 48271 is coprime to 65535, so i -> wire is a bijection per
-        // 65535-mote wave that *spreads* ids across the space — every
-        // shard range gets its share of any campaign size — while
-        // staying independent of the shard count (the digest
-        // invariant). Id 0 is reserved, as in net::runFleet.
         uint16_t wire = uint16_t(1 + (i % 65535) * 48271ULL % 65535);
         const auto &split = payloads[i % templates];
         MotePlan plan;
@@ -363,45 +299,59 @@ buildArena(const workloads::Workload &workload,
             arena.bytes.insert(arena.bytes.end(), frame.begin(),
                                frame.end());
         }
-        arena.perShard[layout.shardOf(wire)].push_back(plan);
+        arena.groups[group_of(i, wire)].push_back(plan);
     }
     return arena;
 }
 
+namespace {
+
+int64_t
+monotonicNanos()
+{
+    using namespace std::chrono;
+    return duration_cast<nanoseconds>(
+               steady_clock::now().time_since_epoch())
+        .count();
+}
+
+/** One lossy-campaign mote: simulate its own trace, ship it over its
+ *  own seeded link into @p sink, score @p bank's estimate. */
+MoteOutcome
+shipMote(const workloads::Workload &workload,
+         const sim::LoweredModule &lowered, const sim::SimConfig &sim_config,
+         const ShardedFleetConfig &config, net::SinkCollector &sink,
+         const net::EstimatorBank &bank, uint16_t mote)
+{
+    auto seeds = workloads::moteSeeds(config.seed, mote);
+    auto run = workloads::simulateMote(workload, lowered, sim_config, seeds,
+                                       config.invocations);
+    MoteOutcome out;
+    out.mote = mote;
+    out.transfer = net::transferTrace(run.trace, mote, config.mtu,
+                                      *config.channel, config.uplink, sink,
+                                      seeds.channel);
+    out.recordsSent = run.trace.size();
+    out.recordsDelivered = sink.recordsDelivered(mote);
+    out.sinkTheta = bank.theta(mote, workload.entry);
+    out.trueTheta =
+        run.profile[workload.entry].branchProbabilities(workload.entryProc());
+    // Before any record arrives the sink's implicit estimate is the
+    // agnostic prior, so starvation shows up as error toward 0.5.
+    for (size_t b = 0; b < out.trueTheta.size(); ++b) {
+        double estimate = b < out.sinkTheta.size() ? out.sinkTheta[b] : 0.5;
+        out.maxThetaError = std::max(out.maxThetaError,
+                                     std::abs(estimate - out.trueTheta[b]));
+    }
+    return out;
+}
+
 } // namespace
-
-uint64_t
-ShardedFleetResult::totalFrames() const
-{
-    uint64_t total = 0;
-    for (const auto &shard : shards)
-        total += shard.frames;
-    return total;
-}
-
-uint64_t
-ShardedFleetResult::totalRecords() const
-{
-    uint64_t total = 0;
-    for (const auto &shard : shards)
-        total += shard.records;
-    return total;
-}
-
-uint64_t
-ShardedFleetResult::totalMotes() const
-{
-    uint64_t total = 0;
-    for (const auto &shard : shards)
-        total += shard.motes;
-    return total;
-}
 
 double
 ShardedFleetResult::recordsPerSecond() const
 {
-    return ingestSeconds > 0.0 ? double(totalRecords()) / ingestSeconds
-                               : 0.0;
+    return ingestSeconds > 0.0 ? double(totalRecords) / ingestSeconds : 0.0;
 }
 
 ShardedFleetResult
@@ -412,6 +362,9 @@ runShardedFleet(const workloads::Workload &workload,
     CT_SPAN("fleet.campaign");
     CT_ASSERT(workload.module != nullptr, "fleet workload has no module");
     CT_ASSERT(config.motes > 0, "fleet: motes must be >= 1");
+    const bool lossy = config.channel.has_value();
+    CT_ASSERT(!lossy || config.motes <= 0xffff,
+              "fleet: a lossy campaign holds at most 65535 motes");
 
     auto lowered = sim::lowerModule(*workload.module);
     sim::SimConfig sim_config;
@@ -420,21 +373,28 @@ runShardedFleet(const workloads::Workload &workload,
 
     ShardLayout layout(config.collector.shards);
     obs::StopwatchUs build_watch;
-    FrameArena arena =
-        buildArena(workload, lowered, sim_config, config, layout);
+    FrameArena arena;
+    arena.groups.resize(layout.shards());
+    if (!lossy)
+        arena = buildArena(workload, lowered, sim_config, config,
+                           layout.shards(), [&](size_t, uint16_t wire) {
+                               return layout.shardOf(wire);
+                           });
 
     auto sharded_owner = std::make_unique<ShardedCollector>(
         *workload.module, lowered, sim_config.costs, sim_config.policy,
         config.cyclesPerTick, config.collector, config.estimator,
-        2.0 * double(sim_config.costs.timerRead));
+        sim::nestedProbeCycles(sim_config.costs));
     ShardedCollector &sharded = *sharded_owner;
 
     ShardedFleetResult result;
     result.buildSeconds = double(build_watch.elapsedUs()) / 1e6;
+    result.motes.resize(lossy ? config.motes : 0);
 
-    // The measured region: per-shard frame streams fan out over the
-    // pool, each worker ingesting whole shards (round-robin static
-    // assignment, exec/thread_pool.hh), so shard locks never contend.
+    // The measured region: per-shard streams fan out over the pool,
+    // each worker ingesting whole shards (round-robin static
+    // assignment, exec/thread_pool.hh), so shard locks never contend
+    // and a lossy mote's transfer talks to its shard's sink directly.
     obs::StopwatchUs ingest_watch;
     std::vector<ExactHistogram> latencies(layout.shards());
     exec::ThreadPool pool(config.jobs);
@@ -442,19 +402,36 @@ runShardedFleet(const workloads::Workload &workload,
         ShardOutcome out;
         out.shard = s;
         int64_t shard_start = obs::monotonicMicros();
-        for (const MotePlan &plan : arena.perShard[s]) {
+        auto timed = [&](uint16_t wire, auto &&transfer) {
             int64_t mote_start = monotonicNanos();
-            for (uint32_t f = 0; f < plan.frameCount; ++f) {
-                const auto &[offset, size] =
-                    arena.frames[plan.firstFrame + f];
-                sharded.offer(arena.bytes.data() + offset, size);
-            }
-            sharded.evictMote(plan.wire);
+            transfer();
+            sharded.evictMote(wire);
             latencies[s].add(monotonicNanos() - mote_start);
             ++out.motes;
-            out.frames += plan.frameCount;
+        };
+        if (lossy) {
+            // Motes are ids 1..motes (id 0 is reserved for single-mote
+            // uses), each in the shard owning its id.
+            size_t first = std::max<size_t>(layout.firstMote(s), 1);
+            size_t last = std::min<size_t>(layout.lastMote(s), config.motes);
+            for (size_t id = first; id <= last; ++id)
+                timed(uint16_t(id), [&] {
+                    result.motes[id - 1] = shipMote(
+                        workload, lowered, sim_config, config,
+                        sharded.collector(s), sharded.bank(s), uint16_t(id));
+                });
+        }
+        for (const MotePlan &plan : arena.groups[s]) {
+            timed(plan.wire, [&] {
+                for (uint32_t f = 0; f < plan.frameCount; ++f) {
+                    const auto &[offset, size] =
+                        arena.frames[plan.firstFrame + f];
+                    sharded.offer(arena.bytes.data() + offset, size);
+                }
+            });
         }
         out.ingestUs = obs::monotonicMicros() - shard_start;
+        out.frames = sharded.collector(s).stats().framesOffered;
         out.records = sharded.collector(s).stats().recordsDelivered;
         out.estimators = sharded.bank(s).estimatorCount();
         out.estObservations = sharded.bank(s).observations();
@@ -466,6 +443,22 @@ runShardedFleet(const workloads::Workload &workload,
     });
     result.ingestSeconds = double(ingest_watch.elapsedUs()) / 1e6;
 
+    for (const auto &shard : result.shards) {
+        result.totalFrames += shard.frames;
+        result.totalRecords += shard.records;
+        result.totalMotes += shard.motes;
+    }
+    double total_error = 0.0;
+    for (const auto &mote : result.motes) {
+        result.recordsSent += mote.recordsSent;
+        result.completeMotes += mote.transfer.complete ? 1 : 0;
+        result.maxThetaError = std::max(result.maxThetaError,
+                                        mote.maxThetaError);
+        total_error += mote.maxThetaError;
+    }
+    if (lossy)
+        result.meanThetaError = total_error / double(result.motes.size());
+
     if (config.checkpointAtEnd)
         sharded.checkpoint();
 
@@ -475,9 +468,9 @@ runShardedFleet(const workloads::Workload &workload,
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();
         const std::string &scope = config.collector.metricsScope;
-        m.counter(scope + "frames_offered").add(result.totalFrames());
-        m.counter(scope + "records_delivered").add(result.totalRecords());
-        m.counter(scope + "motes_ingested").add(result.totalMotes());
+        m.counter(scope + "frames_offered").add(result.totalFrames);
+        m.counter(scope + "records_delivered").add(result.totalRecords);
+        m.counter(scope + "motes_ingested").add(result.totalMotes);
         m.gauge(scope + "shards").set(double(layout.shards()));
         ExactHistogram campaign;
         for (const auto &hist : latencies)
@@ -490,6 +483,14 @@ runShardedFleet(const workloads::Workload &workload,
         }
         for (const auto &shard : result.shards)
             m.histogram(scope + "shard_ingest_us").record(shard.ingestUs);
+        if (lossy) {
+            // Each mote's link, then the shards' sinks, under the names
+            // the pipeline's transport stage uses.
+            for (const auto &mote : result.motes)
+                net::recordTransferMetrics(mote.transfer, {});
+            net::recordTransferMetrics({}, sharded.stats());
+            m.counter("net.motes_complete").add(result.completeMotes);
+        }
     }
     if (collector_out != nullptr)
         *collector_out = std::move(sharded_owner);

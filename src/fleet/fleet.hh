@@ -24,11 +24,9 @@
  *     unchanged, and sharded recovery is just per-shard recovery plus
  *     the exact merge.
  *
- * Concurrency: offer() takes the owning shard's mutex (or one global
- * mutex in Locking::Global mode, kept for measuring what the sharding
- * buys — see bench/bench_fleet.cc). When the ingest fan-out assigns
- * whole shards to workers, the per-shard locks are uncontended and the
- * ingest path is wait-free in practice.
+ * Concurrency: offer() takes the owning shard's mutex. When the ingest
+ * fan-out assigns whole shards to workers, the per-shard locks are
+ * uncontended and the ingest path is wait-free in practice.
  *
  * Determinism: a shard's final state depends only on the frames routed
  * to it and their per-mote order, never on scheduling; mergedSnapshot()
@@ -41,14 +39,17 @@
 #define CT_FLEET_FLEET_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "budget/budget.hh"
+#include "net/channel.hh"
 #include "net/collector.hh"
+#include "net/uplink.hh"
+#include "sim/machine.hh"
 #include "stats/histogram.hh"
 #include "tomography/estimator.hh"
 #include "workloads/workload.hh"
@@ -81,18 +82,6 @@ class ShardLayout
     size_t width_;
 };
 
-/** How offer() serializes against concurrent callers. */
-enum class Locking
-{
-    /** One mutex per shard: callers touching different shards never
-     *  contend. The default, and what the fan-out drivers use. */
-    PerShard,
-    /** One mutex across all shards — deliberately the contended
-     *  configuration, kept so bench_fleet can measure the cost the
-     *  per-shard design removes. */
-    Global,
-};
-
 /** Knobs for a sharded collection pipeline. */
 struct ShardedCollectorConfig
 {
@@ -115,7 +104,6 @@ struct ShardedCollectorConfig
     /** Keep reassembled per-mote traces (off: fleet-scale footprint;
      *  see net::CollectorConfig::retainTraces). */
     bool retainTraces = false;
-    Locking locking = Locking::PerShard;
     /** Prefix for this pipeline's obs metrics. */
     std::string metricsScope = "fleet.";
 };
@@ -123,9 +111,10 @@ struct ShardedCollectorConfig
 /**
  * The sharded collection pipeline: per shard one SinkCollector (CRC,
  * dedupe, reorder, skip-ahead), one EstimatorBank, and optionally one
- * durable store. Thread-safe per the Locking mode; everything else
- * (accessors, merges, checkpoints) expects ingest to be quiesced,
- * matching the export contract everywhere else in the library.
+ * durable store. offer(), the per-mote calls and flush() lock the
+ * owning shard; everything else (accessors, merges, checkpoints)
+ * expects ingest to be quiesced, matching the export contract
+ * everywhere else in the library.
  */
 class ShardedCollector
 {
@@ -189,8 +178,6 @@ class ShardedCollector
 
   private:
     struct Shard;
-
-    std::unique_lock<std::mutex> lockFor(size_t shard);
 
     ShardedCollectorConfig config_;
     ShardLayout layout_;
@@ -301,18 +288,25 @@ struct ShardedFleetConfig
      * beyond 65535 transfers, ids recycle — each transfer is evicted
      * when it completes, so a recycled id starts a fresh stream at the
      * collector while its estimators keep accumulating per wire id
-     * (the on-air format's namespace).
+     * (the on-air format's namespace). A lossy campaign (channel set)
+     * numbers its motes 1..motes instead, at most 65535.
      */
     size_t motes = 64;
-    /** Invocations each template mote measures (records per mote). */
+    /** Invocations each mote measures (records per mote). */
     size_t invocations = 8;
-    /** Distinct simulated template traces, stamped across motes. */
+    /** Distinct simulated template traces, stamped across motes
+     *  (unused by a lossy campaign: each mote simulates its own). */
     size_t templates = 8;
     /** Worker threads for the ingest fan-out (0 = auto). */
     size_t jobs = 1;
     uint64_t seed = 1;
     uint64_t cyclesPerTick = 1;
     size_t mtu = net::kDefaultMtu;
+    /** Set: a lossy campaign — each mote simulates its own trace and
+     *  ships it over its own link (net::transferTrace, seeded from the
+     *  mote id) into its shard. Unset: loss-free template traffic. */
+    std::optional<net::ChannelConfig> channel;
+    net::UplinkConfig uplink; //!< lossy campaigns only
     ShardedCollectorConfig collector;
     tomography::EstimatorOptions estimator;
     /** writeCheckpoint + compact every shard store at campaign end. */
@@ -335,10 +329,28 @@ struct ShardOutcome
     uint64_t estObservations = 0;
 };
 
+/** One mote of a lossy campaign, scored against its own truth. */
+struct MoteOutcome
+{
+    uint16_t mote = 0;
+    size_t recordsSent = 0;
+    size_t recordsDelivered = 0;
+    net::TransferOutcome transfer;
+    /** Sink-side entry-procedure estimate ([] until records arrive). */
+    std::vector<double> sinkTheta;
+    /** Ground truth from this mote's own run (evaluation only). */
+    std::vector<double> trueTheta;
+    /** max |sink theta - truth| over entry branches; the agnostic
+     *  prior (0.5) stands in when no records reached the sink. */
+    double maxThetaError = 0.0;
+};
+
 /** Campaign result: per-shard detail plus the merged fingerprint. */
 struct ShardedFleetResult
 {
     std::vector<ShardOutcome> shards;
+    /** Lossy campaigns only: every mote, in id order. */
+    std::vector<MoteOutcome> motes;
     /** snapshotDigest of mergedSnapshot() — invariant across jobs and
      *  shard counts for a fixed (workload, motes, seed, ...). */
     uint64_t mergedDigest = 0;
@@ -346,22 +358,32 @@ struct ShardedFleetResult
     double buildSeconds = 0.0;  //!< frame-arena construction (untimed
                                 //!< region of the benchmark)
     double ingestSeconds = 0.0; //!< the measured fan-out
+    /// @name Sums over `shards`
+    /// @{
+    uint64_t totalFrames = 0;
+    uint64_t totalRecords = 0; //!< delivered to the sinks
+    uint64_t totalMotes = 0;
+    /// @}
+    /// @name Lossy campaigns: aggregates over `motes`
+    /// @{
+    uint64_t recordsSent = 0;
+    size_t completeMotes = 0;
+    double maxThetaError = 0.0;  //!< worst per-mote maxThetaError
+    double meanThetaError = 0.0; //!< mean per-mote maxThetaError
+    /// @}
 
-    uint64_t totalFrames() const;
-    uint64_t totalRecords() const;
-    uint64_t totalMotes() const;
     /** Campaign records / ingestSeconds. */
     double recordsPerSecond() const;
 };
 
 /**
- * Run one ingest campaign: simulate `templates` motes of @p workload
- * (probes on), pre-frame their traces once per logical mote into a
- * flat arena (untimed), then fan the per-shard frame streams out over
+ * Run one ingest campaign: pre-frame template traffic into an arena
+ * (untimed; a lossy campaign skips this), then fan the shards out over
  * a thread pool — each worker ingests whole shards, so per-shard locks
- * never contend — and report throughput, per-shard latency quantiles,
+ * never contend — and report throughput, per-shard latency quantiles
  * and the merged snapshot digest. Exports `fleet.*` metrics after the
- * join (docs/OBSERVABILITY.md).
+ * join, and `net.*` link counters for a lossy campaign
+ * (docs/OBSERVABILITY.md).
  *
  * When @p collector_out is non-null it receives the campaign's
  * collector (ingest quiesced), ready for planShardBudgets() or any
@@ -371,6 +393,39 @@ ShardedFleetResult
 runShardedFleet(const workloads::Workload &workload,
                 const ShardedFleetConfig &config,
                 std::unique_ptr<ShardedCollector> *collector_out = nullptr);
+
+/// @name Template traffic (runShardedFleet's, reused by relay trees)
+/// @{
+/** One logical mote's frames inside a FrameArena. */
+struct MotePlan
+{
+    uint16_t wire = 0;
+    uint32_t firstFrame = 0;
+    uint32_t frameCount = 0;
+};
+
+/** Pre-framed campaign traffic: every frame of every logical mote,
+ *  flat, grouped by the caller's partition. */
+struct FrameArena
+{
+    std::vector<uint8_t> bytes;
+    std::vector<std::pair<size_t, size_t>> frames; //!< (offset, size)
+    std::vector<std::vector<MotePlan>> groups;
+};
+
+/**
+ * Simulate `config.templates` motes and re-stamp their payloads with
+ * each of `config.motes` logical motes' own header and CRC. Mote i gets
+ * wire id 1 + (i mod 65535) * 48271 mod 65535 (a bijection per
+ * 65535-mote wave that spreads ids over the id space) and joins group
+ * @p group_of(i, wire) of @p groups.
+ */
+FrameArena
+buildArena(const workloads::Workload &workload,
+           const sim::LoweredModule &lowered, const sim::SimConfig &sim_config,
+           const ShardedFleetConfig &config, size_t groups,
+           const std::function<size_t(size_t, uint16_t)> &group_of);
+/// @}
 
 } // namespace ct::fleet
 

@@ -5,6 +5,7 @@
 
 #include "ir/analysis.hh"
 #include "layout/evaluator.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace ct::layout {
@@ -183,18 +184,13 @@ computeModuleOrders(const ir::Module &module, const ir::ModuleProfile &profile,
 uint64_t
 layoutDigest(const std::vector<sim::BlockOrder> &orders)
 {
-    uint64_t h = 1469598103934665603ULL;
-    auto fold = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 1099511628211ULL;
-        }
-    };
-    fold(orders.size());
+    // The basis is one digit short of FNV-1a's; kept, because PGO
+    // decision logs and golden snapshots carry digests computed from it.
+    uint64_t h = fnv1aWord(orders.size(), 1469598103934665603ULL);
     for (const auto &order : orders) {
-        fold(order.size());
+        h = fnv1aWord(order.size(), h);
         for (auto block : order)
-            fold(uint64_t(block));
+            h = fnv1aWord(uint64_t(block), h);
     }
     return h;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace ct::net {
@@ -130,6 +131,22 @@ transferTrace(const trace::TimingTrace &trace, uint16_t mote, size_t mtu,
     out.channel = channel.stats();
     out.complete = sink.packetsAccepted(mote) == out.packets;
     return out;
+}
+
+void
+recordTransferMetrics(const TransferOutcome &transfer,
+                      const CollectorStats &sink)
+{
+    auto &m = obs::metrics();
+    m.counter("net.packets_sent").add(transfer.uplink.transmissions);
+    m.counter("net.packets_retransmitted")
+        .add(transfer.uplink.retransmissions);
+    m.counter("net.packets_dropped").add(transfer.channel.dropped);
+    m.counter("net.packets_duplicated").add(transfer.channel.duplicated);
+    m.counter("net.packets_corrupted").add(transfer.channel.corrupted);
+    m.counter("net.packets_crc_rejected").add(sink.rejected);
+    m.counter("net.packets_deduped").add(sink.duplicates);
+    m.counter("net.records_delivered").add(sink.recordsDelivered);
 }
 
 } // namespace ct::net

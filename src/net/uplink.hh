@@ -121,6 +121,11 @@ TransferOutcome transferTrace(const trace::TimingTrace &trace, uint16_t mote,
                               const UplinkConfig &uplink_config,
                               SinkCollector &sink, uint64_t seed);
 
+/** Add @p transfer's link counters and @p sink's counters to the
+ *  net.* metrics (docs/NETWORK.md); call only with metrics enabled. */
+void recordTransferMetrics(const TransferOutcome &transfer,
+                           const CollectorStats &sink);
+
 } // namespace ct::net
 
 #endif // CT_NET_UPLINK_HH

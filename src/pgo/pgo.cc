@@ -12,8 +12,9 @@
 #include "obs/trace.hh"
 #include "relay/relay.hh"
 #include "relay/snapshot.hh"
-#include "stats/rng.hh"
 #include "util/logging.hh"
+#include "util/str.hh"
+#include "workloads/campaign.hh"
 
 namespace ct::pgo {
 
@@ -21,44 +22,6 @@ namespace {
 
 /** The one instrumented mote feeding the tracking bank. */
 constexpr uint16_t kProbeMote = 1;
-
-/**
- * InputSource applying a Regime's affine transform to a workload's
- * scripted streams. The base source consumes its Rng identically for
- * every regime, so two windows with the same seed but different
- * regimes see the *same* underlying random sequence shifted — regime
- * changes never re-randomize, they re-bias.
- */
-class RegimeInputs : public sim::InputSource
-{
-  public:
-    RegimeInputs(std::unique_ptr<sim::ScriptedInputs> base,
-                 const Regime &regime)
-        : base_(std::move(base)), regime_(regime)
-    {
-    }
-
-    ir::Word sense(int channel) override
-    {
-        return shift(base_->sense(channel), regime_.senseScale,
-                     regime_.senseOffset);
-    }
-
-    ir::Word radioRx() override
-    {
-        return shift(base_->radioRx(), regime_.radioScale,
-                     regime_.radioOffset);
-    }
-
-  private:
-    static ir::Word shift(ir::Word v, double scale, double offset)
-    {
-        return ir::Word(std::llround(scale * double(v) + offset));
-    }
-
-    std::unique_ptr<sim::ScriptedInputs> base_;
-    Regime regime_;
-};
 
 std::string
 fmtLine(const char *fmt, ...)
@@ -71,26 +34,7 @@ fmtLine(const char *fmt, ...)
     return buf;
 }
 
-std::string
-joinNames(const std::vector<std::string> &names)
-{
-    std::string out = "[";
-    for (size_t i = 0; i < names.size(); ++i) {
-        if (i)
-            out += ",";
-        out += names[i];
-    }
-    out += "]";
-    return out;
-}
-
 } // namespace
-
-uint64_t
-layoutDigest(const std::vector<sim::BlockOrder> &orders)
-{
-    return layout::layoutDigest(orders);
-}
 
 ContinuousPgo::ContinuousPgo(workloads::Workload workload, PgoConfig config)
     : workload_(std::move(workload)), config_(std::move(config))
@@ -109,39 +53,28 @@ ContinuousPgo::run()
     const ir::Module &module = *workload_.module;
     const sim::CostModel &costs = config_.sim.costs;
     const sim::PredictPolicy policy = config_.sim.policy;
-    const double nested_probe_cycles = 2.0 * double(costs.timerRead);
+    const double nested_probe_cycles = sim::nestedProbeCycles(costs);
 
     PgoResult result;
 
-    // --- Bootstrap: the pipeline's one-shot flow, constant for
-    // constant (seeds included), so a stationary run's layout is
-    // bitwise the pipeline's "tomography" placement.
+    // --- Bootstrap: the pipeline's measure -> estimate -> place, the
+    // same campaign functions under the same seed, so a stationary
+    // run's layout is the pipeline's "tomography" placement.
     auto lowered_natural = sim::lowerModule(module);
     sim::RunResult bootstrap;
     {
         CT_SPAN("pgo.bootstrap");
-        sim::SimConfig cfg = config_.sim;
-        cfg.timingProbes = true;
-        auto inputs = workload_.makeInputs(config_.seed);
-        sim::Simulator simulator(module, lowered_natural, cfg, *inputs,
-                                 config_.seed ^ 0x6d656173);
-        bootstrap =
-            simulator.run(workload_.entry, config_.measureInvocations);
+        bootstrap = workloads::measureLane(workload_, lowered_natural,
+                                           config_.sim, config_.seed,
+                                           config_.measureInvocations);
     }
-    auto estimator = tomography::makeEstimator(config_.estimator,
-                                               config_.estimatorOptions);
-    auto layout_estimate = tomography::estimateModule(
-        module, lowered_natural, costs, policy, config_.sim.cyclesPerTick,
-        nested_probe_cycles, bootstrap.trace, *estimator);
-    std::vector<sim::BlockOrder> current_orders;
-    {
-        Rng rng(config_.seed ^ 0x6c61796f);
-        current_orders = layout::computeModuleOrders(
-            module, layout_estimate.profile,
-            layout::LayoutKind::ProfileGuided, rng);
-    }
+    auto layout_estimate = workloads::estimateTrace(
+        workload_, lowered_natural, config_.sim, config_.estimator,
+        config_.estimatorOptions, bootstrap.trace);
+    std::vector<sim::BlockOrder> current_orders = workloads::placeFromProfile(
+        module, layout_estimate.profile, config_.seed);
     result.initialOrders = current_orders;
-    result.initialLayoutDigest = layoutDigest(current_orders);
+    result.initialLayoutDigest = layout::layoutDigest(current_orders);
     auto lowered_current = sim::lowerModule(module, current_orders);
 
     // The frozen reference the drift statistic compares against.
@@ -162,19 +95,25 @@ ContinuousPgo::run()
         store = std::make_unique<store::Store>(config_.storeDir,
                                                config_.store);
 
+    // Instrumented records feed the tracking bank (and the WAL) in
+    // stream order.
+    auto ingest = [&](const trace::TimingTrace &trace) {
+        for (const auto &record : trace.records()) {
+            bank.observe(kProbeMote, record);
+            if (store)
+                store->append(kProbeMote, record);
+            if (config_.retainRecords)
+                result.records.push_back(record);
+        }
+    };
+
     // Seed the bank (and the WAL) with the bootstrap trace, then
     // freeze the drift reference from the bank itself. Frozen and
     // tracking thetas then come from one estimator family, so a
     // stationary deployment's drift statistic is sampling noise
     // around zero — not the systematic EM-vs-streaming offset, which
     // would eat most of the detector's headroom.
-    for (const auto &record : bootstrap.trace.records()) {
-        bank.observe(kProbeMote, record);
-        if (store)
-            store->append(kProbeMote, record);
-        if (config_.retainRecords)
-            result.records.push_back(record);
-    }
+    ingest(bootstrap.trace);
     for (ir::ProcId p = 0; p < module.procedureCount(); ++p) {
         const auto *est = bank.find(kProbeMote, p);
         if (est && p < frozen.size() && !est->theta().empty())
@@ -193,54 +132,32 @@ ContinuousPgo::run()
 
     for (size_t r = 0; r < regimes.size(); ++r) {
         const Regime &regime = regimes[r];
+        const workloads::InputShift shift{regime.senseScale,
+                                          regime.senseOffset,
+                                          regime.radioScale,
+                                          regime.radioOffset};
         for (size_t i = 0; i < regime.windows; ++i, ++window) {
             CT_SPAN("pgo.window");
-            const uint64_t sw =
-                config_.seed ^ (0x9e3779b97f4a7c15ULL * (window + 1));
+            const uint64_t sw = workloads::windowSeed(config_.seed, window);
 
-            // Instrumented lane: natural layout, probes on. Records
-            // feed the tracking bank (and the WAL) in stream order.
-            sim::RunResult probe;
-            {
-                sim::SimConfig cfg = config_.sim;
-                cfg.timingProbes = true;
-                RegimeInputs inputs(workload_.makeInputs(sw), regime);
-                sim::Simulator simulator(module, lowered_natural, cfg,
-                                         inputs, sw ^ 0x6d656173);
-                probe = simulator.run(workload_.entry,
-                                      config_.windowInvocations);
-            }
-            for (const auto &record : probe.trace.records()) {
-                bank.observe(kProbeMote, record);
-                if (store)
-                    store->append(kProbeMote, record);
-                if (config_.retainRecords)
-                    result.records.push_back(record);
-            }
+            // Instrumented lane: natural layout, probes on.
+            sim::RunResult probe = workloads::measureLane(
+                workload_, lowered_natural, config_.sim, sw,
+                config_.windowInvocations, &shift);
+            ingest(probe.trace);
 
-            // Live + clairvoyant lanes: probes off, identical input
-            // and simulator seeds, so cycle differences are placement
-            // alone. The oracle re-places from this window's own
-            // ground-truth profile — what "re-place every window"
-            // would deploy.
-            std::vector<sim::BlockOrder> oracle_orders;
-            {
-                Rng rng(sw ^ 0x6c61796f);
-                oracle_orders = layout::computeModuleOrders(
-                    module, probe.profile,
-                    layout::LayoutKind::ProfileGuided, rng);
-            }
+            // Live + clairvoyant lanes: evaluate lanes under one seed,
+            // so cycle differences are placement alone. The oracle
+            // re-places from this window's own ground-truth profile —
+            // what "re-place every window" would deploy.
+            auto oracle_orders =
+                workloads::placeFromProfile(module, probe.profile, sw);
             const std::vector<sim::BlockOrder> *lane_orders[2] = {
                 &current_orders, &oracle_orders};
             auto lanes = exec::parallelMap(pool, 2, [&](size_t lane) {
-                sim::SimConfig cfg = config_.sim;
-                cfg.timingProbes = false;
-                RegimeInputs inputs(workload_.makeInputs(sw + 1), regime);
-                sim::Simulator simulator(
-                    module, sim::lowerModule(module, *lane_orders[lane]),
-                    cfg, inputs, sw ^ 0x6576616c);
-                return simulator.run(workload_.entry,
-                                     config_.windowInvocations);
+                return workloads::evaluateLane(
+                    workload_, *lane_orders[lane], config_.sim, sw,
+                    config_.windowInvocations, &shift);
             });
             const sim::RunResult &live = lanes[0];
             const sim::RunResult &oracle = lanes[1];
@@ -367,19 +284,14 @@ ContinuousPgo::run()
                         (unsigned long long)
                             plan.assignment.usage.energyNanojoules);
                 } else {
-                    std::vector<sim::BlockOrder> fresh;
-                    {
-                        Rng rng(sw ^ 0x6c61796f);
-                        fresh = layout::computeModuleOrders(
-                            module, tracking.profile,
-                            layout::LayoutKind::ProfileGuided, rng);
-                    }
+                    auto fresh = workloads::placeFromProfile(
+                        module, tracking.profile, sw);
                     for (const auto &entry : gate)
                         mixed[entry.proc] = fresh[entry.proc];
                 }
-                const uint64_t digest = layoutDigest(mixed);
+                const uint64_t digest = layout::layoutDigest(mixed);
                 const bool swapped =
-                    digest != layoutDigest(current_orders);
+                    digest != layout::layoutDigest(current_orders);
                 // The trigger absorbed the tracked regime whether or
                 // not the layout moved (the gate may find the current
                 // layout already optimal for it): re-freeze the
@@ -413,8 +325,8 @@ ContinuousPgo::run()
                 result.decisionLog += fmtLine(
                     "trigger w=%03zu stat=%.6f drifted=%s gate=%s "
                     "swap=%d digest=%016llx\n",
-                    window, stat, joinNames(drifted).c_str(),
-                    joinNames(survivors).c_str(), int(swapped),
+                    window, stat, ("[" + join(drifted, ",") + "]").c_str(),
+                    ("[" + join(survivors, ",") + "]").c_str(), int(swapped),
                     (unsigned long long)digest);
             }
 
@@ -440,7 +352,7 @@ ContinuousPgo::run()
     }
     result.windows = window;
     result.finalOrders = current_orders;
-    result.finalLayoutDigest = layoutDigest(current_orders);
+    result.finalLayoutDigest = layout::layoutDigest(current_orders);
     result.cumulativeRegretCycles = cumulative_regret;
     result.finalMispredictRate = result.windowReports.empty()
                                      ? 0.0

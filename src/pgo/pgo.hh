@@ -3,10 +3,11 @@
  * ct::pgo — closed-loop continuous profile-guided placement.
  *
  * The paper's pipeline is one shot: collect -> estimate -> place.
- * This controller closes the loop (docs/PGO.md). After the same
- * one-shot bootstrap the pipeline performs (bitwise: identical seeds,
- * estimator, and placement Rng), it runs the workload in windows.
- * Each window drives three deterministic lanes:
+ * This controller closes the loop (docs/PGO.md). Its bootstrap is
+ * that one shot — the campaign functions of workloads/campaign.hh the
+ * pipeline calls, under the same seed — and then it runs the workload
+ * in windows, each window's lanes being the same campaign lanes under
+ * a per-window seed. Each window drives three deterministic lanes:
  *
  *   - an instrumented lane (natural layout, probes on) whose boundary
  *     timing records feed a forgetting-mode StreamingEstimator bank —
@@ -223,9 +224,6 @@ struct PgoResult
      *  order (mote is always 1 — one instrumented mote). */
     std::vector<trace::TimingRecord> records;
 };
-
-/** FNV-1a digest over a whole layout (deterministic swap identity). */
-uint64_t layoutDigest(const std::vector<sim::BlockOrder> &orders);
 
 class ContinuousPgo
 {

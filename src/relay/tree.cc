@@ -6,8 +6,8 @@
 #include "fleet/fleet.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/machine.hh"
 #include "util/logging.hh"
+#include "workloads/campaign.hh"
 
 namespace ct::relay {
 
@@ -73,141 +73,15 @@ TreeTopology::leaves() const
     return out;
 }
 
-uint64_t
-RelayTreeResult::totalFragmentsSent() const
-{
-    uint64_t total = 0;
-    for (const auto &link : links)
-        total += link.ship.uplink.transmissions;
-    return total;
-}
-
-uint64_t
-RelayTreeResult::totalRetransmissions() const
-{
-    uint64_t total = 0;
-    for (const auto &link : links)
-        total += link.ship.uplink.retransmissions;
-    return total;
-}
-
-uint64_t
-RelayTreeResult::totalWireBytes() const
-{
-    uint64_t total = 0;
-    for (const auto &link : links)
-        total += link.ship.wireBytes;
-    return total;
-}
-
-uint64_t
-RelayTreeResult::totalImageBytes() const
-{
-    uint64_t total = 0;
-    for (const auto &link : links)
-        total += link.ship.imageBytes;
-    return total;
-}
-
 namespace {
-
-uint64_t
-splitmix64(uint64_t &state)
-{
-    uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-/** Per-link channel seed: a function of the campaign seed and the
- *  child node id only, so the fault schedule of every link is fixed
- *  regardless of jobs count or aggregation interleaving. */
-uint64_t
-linkSeed(uint64_t campaign_seed, size_t child)
-{
-    uint64_t state =
-        campaign_seed ^ 0xd1b54a32d192ed03ULL * (uint64_t(child) + 1);
-    return splitmix64(state);
-}
-
-/** One logical mote's frames inside the arena. */
-struct MotePlan
-{
-    uint16_t wire = 0;
-    uint32_t firstFrame = 0;
-    uint32_t frameCount = 0;
-};
-
-/** Pre-framed campaign traffic grouped per leaf — the same template
- *  re-stamping fleet::runShardedFleet uses, except motes partition
- *  contiguously across the *leaves*, so leaf banks cover disjoint
- *  (mote, proc) keys and every upward merge is the exact case. */
-struct FrameArena
-{
-    std::vector<uint8_t> bytes;
-    std::vector<std::pair<size_t, size_t>> frames; //!< (offset, size)
-    std::vector<std::vector<MotePlan>> perLeaf;
-};
-
-FrameArena
-buildArena(const workloads::Workload &workload,
-           const sim::LoweredModule &lowered,
-           const sim::SimConfig &sim_config, const RelayTreeConfig &config,
-           size_t leaf_count)
-{
-    size_t templates =
-        std::max<size_t>(1, std::min(config.templates, config.motes));
-    std::vector<std::vector<std::vector<uint8_t>>> payloads(templates);
-    for (size_t t = 0; t < templates; ++t) {
-        uint64_t state =
-            config.seed ^ 0x9e3779b97f4a7c15ULL * (uint64_t(t) + 1);
-        uint64_t sim_seed = splitmix64(state);
-        uint64_t input_seed = splitmix64(state);
-        auto inputs = workload.makeInputs(input_seed);
-        sim::Simulator simulator(*workload.module, lowered, sim_config,
-                                 *inputs, sim_seed);
-        auto run = simulator.run(workload.entry, config.invocations);
-        for (auto &packet :
-             net::packetizeTrace(run.trace, /*mote=*/0, config.ingestMtu))
-            payloads[t].push_back(std::move(packet.payload));
-    }
-
-    FrameArena arena;
-    arena.perLeaf.resize(leaf_count);
-    for (size_t i = 0; i < config.motes; ++i) {
-        // Same wire-id bijection as the fleet campaigns (id 0
-        // reserved, ids spread across the space); the leaf partition
-        // slices the *logical* index range, so each leaf owns a
-        // disjoint set of wire ids no matter how they scatter.
-        uint16_t wire = uint16_t(1 + (i % 65535) * 48271ULL % 65535);
-        const auto &split = payloads[i % templates];
-        MotePlan plan;
-        plan.wire = wire;
-        plan.firstFrame = uint32_t(arena.frames.size());
-        plan.frameCount = uint32_t(split.size());
-        for (size_t seq = 0; seq < split.size(); ++seq) {
-            net::Packet packet;
-            packet.mote = wire;
-            packet.seq = uint32_t(seq);
-            packet.payload = split[seq];
-            auto frame = net::serializePacket(packet);
-            arena.frames.emplace_back(arena.bytes.size(), frame.size());
-            arena.bytes.insert(arena.bytes.end(), frame.begin(),
-                               frame.end());
-        }
-        arena.perLeaf[i * leaf_count / config.motes].push_back(
-            std::move(plan));
-    }
-    return arena;
-}
 
 /** Feed one mote plan's frames into @p collector and evict. */
 uint64_t
-ingestPlans(const FrameArena &arena, const std::vector<MotePlan> &plans,
+ingestPlans(const fleet::FrameArena &arena,
+            const std::vector<fleet::MotePlan> &plans,
             net::SinkCollector &collector)
 {
-    for (const MotePlan &plan : plans) {
+    for (const fleet::MotePlan &plan : plans) {
         for (uint32_t f = 0; f < plan.frameCount; ++f) {
             const auto &[offset, size] = arena.frames[plan.firstFrame + f];
             collector.offer(arena.bytes.data() + offset, size);
@@ -233,20 +107,34 @@ runRelayTree(const workloads::Workload &workload,
     sim::SimConfig sim_config;
     sim_config.cyclesPerTick = config.cyclesPerTick;
     sim_config.timingProbes = true;
-    double nested_probe = 2.0 * double(sim_config.costs.timerRead);
+    auto make_bank = [&] {
+        return net::EstimatorBank(*workload.module, lowered, sim_config.costs,
+                                  sim_config.policy, config.cyclesPerTick,
+                                  config.estimator,
+                                  sim::nestedProbeCycles(sim_config.costs));
+    };
 
-    FrameArena arena = buildArena(workload, lowered, sim_config, config,
-                                  leaf_nodes.size());
+    // The fleet campaigns' template traffic, except that motes
+    // partition contiguously across the *leaves* by logical index, so
+    // leaf banks cover disjoint (mote, proc) keys however the wire ids
+    // scatter, and every upward merge is the exact case.
+    fleet::ShardedFleetConfig traffic;
+    traffic.motes = config.motes;
+    traffic.invocations = config.invocations;
+    traffic.templates = config.templates;
+    traffic.seed = config.seed;
+    traffic.mtu = config.ingestMtu;
+    const size_t leaves = leaf_nodes.size();
+    fleet::FrameArena arena = fleet::buildArena(
+        workload, lowered, sim_config, traffic, leaves,
+        [&](size_t i, uint16_t) { return i * leaves / config.motes; });
 
     // One estimator bank per tree node. Leaf banks fill from ingest;
     // interior banks only ever receive shipped snapshots.
     std::vector<net::EstimatorBank> banks;
     banks.reserve(tree.nodes());
-    for (size_t i = 0; i < tree.nodes(); ++i) {
-        banks.emplace_back(*workload.module, lowered, sim_config.costs,
-                           sim_config.policy, config.cyclesPerTick,
-                           config.estimator, nested_probe);
-    }
+    for (size_t i = 0; i < tree.nodes(); ++i)
+        banks.push_back(make_bank());
 
     RelayTreeResult result;
     result.leafCount = leaf_nodes.size();
@@ -265,7 +153,7 @@ runRelayTree(const workloads::Workload &workload,
             collector_config.retainTraces = false;
             net::SinkCollector collector(collector_config);
             collector.setRecordSink(banks[leaf_nodes[j]].sink());
-            return ingestPlans(arena, arena.perLeaf[j], collector);
+            return ingestPlans(arena, arena.groups[j], collector);
         });
     result.ingestSeconds = double(ingest_watch.elapsedUs()) / 1e6;
     for (uint64_t records : leaf_records)
@@ -294,9 +182,9 @@ runRelayTree(const workloads::Workload &workload,
                     snapshotFromBank(banks[child], /*id=*/child,
                                      uint16_t(child));
                 link.slots = snapshot.slots.size();
-                auto received =
-                    shipAndReceive(snapshot, config.ship,
-                                   linkSeed(config.seed, child), link.ship);
+                auto received = shipAndReceive(
+                    snapshot, config.ship,
+                    workloads::linkSeed(config.seed, child), link.ship);
                 if (received) {
                     obs::StopwatchUs merge_watch;
                     mergeIntoBank(*received, banks[parent]);
@@ -310,8 +198,12 @@ runRelayTree(const workloads::Workload &workload,
 
     result.links.reserve(tree.nodes() > 0 ? tree.nodes() - 1 : 0);
     for (size_t child = 1; child < tree.nodes(); ++child) {
-        if (!links[child].ship.adopted)
-            ++result.failedLinks;
+        const ShipOutcome &ship = links[child].ship;
+        result.failedLinks += ship.adopted ? 0 : 1;
+        result.totalFragmentsSent += ship.uplink.transmissions;
+        result.totalRetransmissions += ship.uplink.retransmissions;
+        result.totalWireBytes += ship.wireBytes;
+        result.totalImageBytes += ship.imageBytes;
         result.links.push_back(std::move(links[child]));
     }
 
@@ -323,14 +215,12 @@ runRelayTree(const workloads::Workload &workload,
     // The invariant's reference side: one flat sink hearing every
     // mote, in the same per-mote frame order the leaves saw.
     if (config.computeFlatDigest) {
-        net::EstimatorBank flat(*workload.module, lowered, sim_config.costs,
-                                sim_config.policy, config.cyclesPerTick,
-                                config.estimator, nested_probe);
+        auto flat = make_bank();
         net::CollectorConfig collector_config;
         collector_config.retainTraces = false;
         net::SinkCollector collector(collector_config);
         collector.setRecordSink(flat.sink());
-        for (const auto &plans : arena.perLeaf)
+        for (const auto &plans : arena.groups)
             ingestPlans(arena, plans, collector);
         result.flatDigest = fleet::snapshotDigest(flat.snapshot());
         result.digestMatch = result.rootDigest == result.flatDigest;

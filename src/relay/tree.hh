@@ -161,13 +161,15 @@ struct RelayTreeResult
     uint64_t ingestFrameBytes = 0;
     double ingestSeconds = 0.0; //!< leaf ingest (fan-out, measured)
     double aggregateSeconds = 0.0; //!< bottom-up shipping + merging
-
-    uint64_t totalFragmentsSent() const;
-    uint64_t totalRetransmissions() const;
-    uint64_t totalWireBytes() const;
-    /** Sum of per-link snapshot image bytes (what a lossless tree
-     *  would put on the wire, before framing and retransmits). */
-    uint64_t totalImageBytes() const;
+    /// @name Sums over `links`
+    /// @{
+    uint64_t totalFragmentsSent = 0;
+    uint64_t totalRetransmissions = 0;
+    uint64_t totalWireBytes = 0;
+    /** Snapshot image bytes: what a lossless tree would put on the
+     *  wire, before framing and retransmits. */
+    uint64_t totalImageBytes = 0;
+    /// @}
 };
 
 /**

@@ -66,6 +66,12 @@ CostModel::blockBodyCycles(const ir::BasicBlock &bb) const
     return total;
 }
 
+double
+nestedProbeCycles(const CostModel &costs)
+{
+    return 2.0 * double(costs.timerRead);
+}
+
 CostModel
 telosCostModel()
 {

@@ -67,6 +67,13 @@ struct CostModel
     uint64_t blockBodyCycles(const ir::BasicBlock &bb) const;
 };
 
+/**
+ * Cycles a probed callee's own entry and exit timer reads add to its
+ * caller's measured time — what every estimator of a probed trace
+ * passes as tomography::TimingModel's nested_probe_cycles.
+ */
+double nestedProbeCycles(const CostModel &costs);
+
 /** The default TelosB-flavoured model. */
 CostModel telosCostModel();
 

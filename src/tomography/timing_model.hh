@@ -48,7 +48,7 @@ class TimingModel
      *        bottom-up call-graph order so these are available.
      * @param nested_probe_cycles extra cycles a nested call contributes
      *        because the callee itself carries entry/exit timing probes
-     *        (2 * timerRead when probing is on, else 0).
+     *        (sim::nestedProbeCycles when probing is on, else 0).
      * @param callee_var_cycles variance (cycles^2) of each callee's body
      *        duration, indexed by ProcId; empty means all-zero. Callee
      *        bodies are folded into block costs at their *mean*, so this

@@ -1,0 +1,115 @@
+/**
+ * @file
+ * The campaign path: the paper's loop — time procedure boundaries on
+ * the mote (measure lane), estimate branch probabilities, place code,
+ * score a placement with the probes off (evaluate lane) — as the one
+ * set of functions the pipeline, continuous PGO's bootstrap and
+ * lanes, and the fleet and relay motes all call. No driver derives a
+ * seed from a campaign seed or builds inputs plus a sim::Simulator on
+ * its own, so two drivers given one seed simulate the same events and
+ * place the same layout by construction. Every seed is a pure function
+ * of its arguments (the determinism contract of exec/thread_pool.hh).
+ */
+
+#ifndef CT_WORKLOADS_CAMPAIGN_HH
+#define CT_WORKLOADS_CAMPAIGN_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "sim/machine.hh"
+#include "tomography/estimator.hh"
+#include "workloads/workload.hh"
+
+namespace ct::workloads {
+
+/// @name Seed derivation
+/// A stage XORs a four-letter ASCII tag ("rand", "netw", ...) into the
+/// campaign seed, so one seed drives independent streams; keyed seeds
+/// (windows, hops, links, motes) stride a Weyl sequence.
+/// @{
+inline constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+/** Rng seed of the pipeline's baseline candidate placements. */
+inline uint64_t candidateSeed(uint64_t seed) { return seed ^ 0x72616e64; }
+/** Lossy-link seed of the pipeline's transport stage. */
+inline uint64_t transportSeed(uint64_t seed) { return seed ^ 0x6e657477; }
+/** Base seed of the pipeline's relay stage. */
+inline uint64_t relaySeed(uint64_t seed) { return seed ^ 0x72656c79; }
+/** Channel seed of relay hop @p hop, from the stage's base seed. */
+inline uint64_t relayHopSeed(uint64_t base, size_t hop)
+{
+    return base + kGolden * hop;
+}
+/** Campaign seed of continuous-PGO window @p window. */
+inline uint64_t windowSeed(uint64_t seed, size_t window)
+{
+    return seed ^ (kGolden * (window + 1));
+}
+/** Channel seed of a relay tree's link from node @p child upward. */
+uint64_t linkSeed(uint64_t seed, size_t child);
+
+/** One fleet mote's independent seeds. */
+struct MoteSeeds
+{
+    uint64_t sim = 0;
+    uint64_t inputs = 0;
+    uint64_t channel = 0;
+};
+
+/** The seeds of fleet mote @p key (a mote id or a template index),
+ *  from the campaign seed and the key alone. */
+MoteSeeds moteSeeds(uint64_t seed, uint64_t key);
+/// @}
+
+/** Continuous PGO's input regime: each sensor / radio value v becomes
+ *  llround(scale * v + offset). The Rng draws are unchanged, so a shift
+ *  re-biases a lane's inputs without re-randomizing them. */
+struct InputShift
+{
+    double senseScale = 1.0;
+    double senseOffset = 0.0;
+    double radioScale = 1.0;
+    double radioOffset = 0.0;
+};
+
+/** The measure lane: @p invocations of the entry procedure on the
+ *  natural layout with boundary probes on. */
+sim::RunResult measureLane(const Workload &workload,
+                           const sim::LoweredModule &natural,
+                           const sim::SimConfig &config, uint64_t seed,
+                           size_t invocations,
+                           const InputShift *shift = nullptr);
+
+/** The evaluate lane: @p orders with probes off. Inputs and simulator
+ *  depend on @p seed alone, so placements evaluated under one seed see
+ *  the same events and differ in placement alone. */
+sim::RunResult evaluateLane(const Workload &workload,
+                            const std::vector<sim::BlockOrder> &orders,
+                            const sim::SimConfig &config, uint64_t seed,
+                            size_t invocations,
+                            const InputShift *shift = nullptr);
+
+/** One fleet mote's own run of @p invocations on @p lowered, seeded by
+ *  @p seeds (probes as @p config sets them). */
+sim::RunResult simulateMote(const Workload &workload,
+                            const sim::LoweredModule &lowered,
+                            const sim::SimConfig &config,
+                            const MoteSeeds &seeds, size_t invocations);
+
+/** Estimate every procedure from a measure lane's @p trace with a
+ *  fresh estimator of @p kind. */
+tomography::ModuleEstimate
+estimateTrace(const Workload &workload, const sim::LoweredModule &natural,
+              const sim::SimConfig &config, tomography::EstimatorKind kind,
+              const tomography::EstimatorOptions &options,
+              const trace::TimingTrace &trace);
+
+/** Profile-guided placement of every procedure from @p profile. */
+std::vector<sim::BlockOrder> placeFromProfile(const ir::Module &module,
+                                              const ir::ModuleProfile &profile,
+                                              uint64_t seed);
+
+} // namespace ct::workloads
+
+#endif // CT_WORKLOADS_CAMPAIGN_HH

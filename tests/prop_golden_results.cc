@@ -20,7 +20,6 @@
 #include "check/golden.hh"
 #include "fleet/fleet.hh"
 #include "ir/analysis.hh"
-#include "net/fleet.hh"
 #include "relay/tree.hh"
 #include "workloads/workload.hh"
 
@@ -128,31 +127,32 @@ TEST(PropGolden, FleetCampaignsMatchSnapshot)
         "skipped,crc_rejects,max_err,mean_err\n";
     for (double loss : {0.0, 0.2}) {
         for (bool retransmit : {true, false}) {
-            net::FleetConfig config;
+            fleet::ShardedFleetConfig config;
             config.motes = 4;
             config.invocations = 200;
             config.seed = 1;
-            config.channel.dropRate = loss;
-            config.channel.duplicateRate = 0.02;
-            config.channel.reorderWindow = 3;
-            config.channel.bitFlipRate = 0.01;
+            config.collector.shards = 1;
+            config.channel = net::ChannelConfig{};
+            config.channel->dropRate = loss;
+            config.channel->duplicateRate = 0.02;
+            config.channel->reorderWindow = 3;
+            config.channel->bitFlipRate = 0.01;
             config.uplink.retransmit = retransmit;
-            auto fleet = net::runFleet(workload, config);
-            uint64_t retrans = 0, skipped = 0, rejects = 0;
-            for (const auto &mote : fleet.motes) {
-                retrans += mote.uplink.retransmissions;
-                skipped += mote.collector.skippedPackets;
-                rejects += mote.collector.rejected;
-            }
+            std::unique_ptr<fleet::ShardedCollector> sink;
+            auto fleet = fleet::runShardedFleet(workload, config, &sink);
+            uint64_t retrans = 0;
+            for (const auto &mote : fleet.motes)
+                retrans += mote.transfer.uplink.retransmissions;
+            auto stats = sink->stats();
             out += fmtRow("%.2f,%s,%zu,%zu,%zu,%llu,%llu,%llu,%.6f,%.6f\n",
                           loss, retransmit ? "on" : "off",
-                          fleet.totalRecordsSent(),
-                          fleet.totalRecordsDelivered(),
-                          fleet.completeMotes(),
+                          size_t(fleet.recordsSent),
+                          size_t(fleet.totalRecords),
+                          fleet.completeMotes,
                           (unsigned long long)retrans,
-                          (unsigned long long)skipped,
-                          (unsigned long long)rejects, fleet.maxThetaError(),
-                          fleet.meanThetaError());
+                          (unsigned long long)stats.skippedPackets,
+                          (unsigned long long)stats.rejected,
+                          fleet.maxThetaError, fleet.meanThetaError);
         }
     }
 
@@ -166,8 +166,8 @@ TEST(PropGolden, FleetCampaignsMatchSnapshot)
         config.collector.shards = shards;
         auto result = fleet::runShardedFleet(workload, config);
         out += fmtRow("%zu,%llu,%llu,%zu,%016llx\n", shards,
-                      (unsigned long long)result.totalFrames(),
-                      (unsigned long long)result.totalRecords(),
+                      (unsigned long long)result.totalFrames,
+                      (unsigned long long)result.totalRecords,
                       result.estimators,
                       (unsigned long long)result.mergedDigest);
     }
@@ -182,8 +182,8 @@ TEST(PropGolden, FleetCampaignsMatchSnapshot)
     auto tree = relay::runRelayTree(workload, relay_config);
     out += fmtRow("%llu,%llu,%llu,%016llx\n",
                   (unsigned long long)tree.records,
-                  (unsigned long long)tree.totalFragmentsSent(),
-                  (unsigned long long)tree.totalRetransmissions(),
+                  (unsigned long long)tree.totalFragmentsSent,
+                  (unsigned long long)tree.totalRetransmissions,
                   (unsigned long long)tree.rootDigest);
 
     auto result = check::compareGolden(goldenPath("fleet_campaigns.txt"), out);

@@ -4,7 +4,7 @@
  * (exec/thread_pool.hh) as a property: jobs=1 and jobs=N must be
  * *bitwise* equal — thetas compared with exact ==, cycle counts,
  * traces, channel statistics — on both the pipeline's placement
- * fan-out and the fleet driver's per-mote fan-out
+ * fan-out and a lossy fleet campaign's per-shard fan-out
  * (check/oracles.hh). Any scheduler-order dependence, shared-Rng
  * draw, or accumulation-order float difference fails this suite.
  */
@@ -62,8 +62,9 @@ TEST(PropJobsInvariance, PipelineIsBitwiseJobsInvariant)
 
 TEST(PropJobsInvariance, FleetIsBitwiseJobsInvariantUnderLoss)
 {
-    // The fleet fans out whole motes, each with its own lossy channel;
-    // per-mote seeds must derive from the mote id, never the thread.
+    // The fleet fans out whole shards, each mote with its own lossy
+    // channel; per-mote seeds must derive from the mote id, never the
+    // thread or the shard.
     CT_EXPECT_PROP(check::forAll<JobsCase>(
         "Jobs.FleetBitwiseInvariantUnderLoss", genJobsCase,
         [](const JobsCase &c) {

@@ -25,6 +25,7 @@
 #include "api/pipeline.hh"
 #include "check/check.hh"
 #include "check/golden.hh"
+#include "layout/placement.hh"
 #include "net/collector.hh"
 #include "pgo/pgo.hh"
 #include "store/format.hh"
@@ -104,7 +105,7 @@ TEST(PropPgo, StationaryLoopNeverFiresAndMatchesOneShot)
             auto run = pipeline.measure();
             auto estimate = pipeline.estimate(run.trace);
             auto orders = pipeline.optimize(estimate.profile);
-            if (pgo::layoutDigest(orders) != result.initialLayoutDigest)
+            if (layout::layoutDigest(orders) != result.initialLayoutDigest)
                 return "bootstrap layout differs from the one-shot "
                        "pipeline placement";
             if (orders != result.finalOrders)

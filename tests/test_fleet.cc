@@ -2,9 +2,12 @@
  * @file
  * Tests for ct::fleet sharded collection: ShardLayout's partition of
  * the id space, bitwise equivalence of the sharded pipeline to one
- * unsharded collector (snapshots, digests, stats), both locking modes,
- * per-shard durable recovery, the campaign driver's determinism across
- * shard counts and jobs, and the per-shard store metric scopes.
+ * unsharded collector (snapshots, digests, stats), per-shard durable
+ * recovery, the campaign driver's determinism across shard counts and
+ * jobs, and the per-shard store metric scopes. The NetFleet cases
+ * drive lossy campaigns (every mote over its own faulty link) and the
+ * pipeline's transport stage: delivery under loss, graceful
+ * fire-and-forget degradation, and the net.* counters.
  */
 
 #include <filesystem>
@@ -58,7 +61,7 @@ struct FleetFixture
     {
         return net::EstimatorBank(*workload.module, lowered, config.costs,
                                   config.policy, config.cyclesPerTick, {},
-                                  2.0 * double(config.costs.timerRead));
+                                  sim::nestedProbeCycles(config.costs));
     }
 
     ShardedCollector
@@ -66,7 +69,7 @@ struct FleetFixture
     {
         return ShardedCollector(*workload.module, lowered, config.costs,
                                 config.policy, config.cyclesPerTick, sharded,
-                                {}, 2.0 * double(config.costs.timerRead));
+                                {}, sim::nestedProbeCycles(config.costs));
     }
 
     /** The run's trace framed for each mote id, frames interleaved
@@ -95,6 +98,24 @@ struct FleetFixture
 
 /** One mote id inside every shard of a 4-way layout. */
 const std::vector<uint16_t> kFourWayMotes = {5, 20000, 40000, 60000};
+
+/** A one-shard lossy campaign over a faulty link. */
+ShardedFleetConfig
+faultyConfig(size_t motes, size_t invocations)
+{
+    ShardedFleetConfig config;
+    config.motes = motes;
+    config.invocations = invocations;
+    config.seed = 5;
+    config.collector.shards = 1;
+    net::ChannelConfig channel;
+    channel.dropRate = 0.2;
+    channel.duplicateRate = 0.05;
+    channel.reorderWindow = 3;
+    channel.bitFlipRate = 0.02;
+    config.channel = channel;
+    return config;
+}
 
 } // namespace
 
@@ -179,27 +200,6 @@ TEST(Fleet, ShardedMatchesUnshardedBitwise)
     auto folded = fx.makeBank();
     sharded.mergeInto(folded);
     EXPECT_TRUE(folded.snapshot() == reference_bank.snapshot());
-}
-
-TEST(Fleet, GlobalLockingMatchesPerShard)
-{
-    FleetFixture fx;
-    auto frames = fx.interleavedFrames(kFourWayMotes);
-
-    uint64_t digests[2];
-    for (Locking locking : {Locking::PerShard, Locking::Global}) {
-        ShardedCollectorConfig config;
-        config.shards = 4;
-        config.locking = locking;
-        auto sharded = fx.makeSharded(config);
-        for (const auto &frame : frames)
-            sharded.offer(frame);
-        for (uint16_t mote : kFourWayMotes)
-            sharded.finalizeMote(mote);
-        digests[locking == Locking::Global] =
-            snapshotDigest(sharded.mergedSnapshot());
-    }
-    EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(Fleet, EvictionDropsCollectorStateKeepsEstimators)
@@ -325,17 +325,17 @@ TEST(Fleet, RunShardedFleetDigestInvariantAcrossShardsAndJobs)
             config.jobs = jobs;
             auto result = runShardedFleet(workload, config);
             EXPECT_EQ(result.shards.size(), shards);
-            EXPECT_EQ(result.totalMotes(), config.motes);
-            EXPECT_GT(result.totalRecords(), 0u);
+            EXPECT_EQ(result.totalMotes, config.motes);
+            EXPECT_GT(result.totalRecords, 0u);
             EXPECT_GT(result.estimators, 0u);
             digests.push_back(result.mergedDigest);
             if (frames == 0) {
-                frames = result.totalFrames();
-                records = result.totalRecords();
+                frames = result.totalFrames;
+                records = result.totalRecords;
             } else {
                 // Counts are part of the determinism contract too.
-                EXPECT_EQ(result.totalFrames(), frames);
-                EXPECT_EQ(result.totalRecords(), records);
+                EXPECT_EQ(result.totalFrames, frames);
+                EXPECT_EQ(result.totalRecords, records);
             }
         }
     }
@@ -478,4 +478,147 @@ TEST(Fleet, MergeStreamingStatesCountWeightedBlend)
     EXPECT_DOUBLE_EQ(merged.statFall[0], 0.75);
     // theta re-derives from the merged statistics (smoothing 0).
     EXPECT_DOUBLE_EQ(merged.theta[0], 0.25);
+}
+
+TEST(NetFleet, JobsCountDoesNotChangeAnyField)
+{
+    // Neither workers nor shards reach a lossy mote's result: one shard
+    // on one worker against 256-id shard ranges (motes 1..600 keep
+    // three shards busy) on four workers.
+    auto workload = workloads::workloadByName("event_dispatch");
+    auto config = faultyConfig(600, 20);
+
+    config.jobs = 1;
+    auto serial = runShardedFleet(workload, config);
+    config.jobs = 4;
+    config.collector.shards = 256;
+    auto parallel = runShardedFleet(workload, config);
+
+    EXPECT_GT(parallel.shards[2].motes, 0u);
+    EXPECT_EQ(serial.mergedDigest, parallel.mergedDigest);
+    EXPECT_EQ(serial.totalFrames, parallel.totalFrames);
+    ASSERT_EQ(serial.motes.size(), parallel.motes.size());
+    for (size_t i = 0; i < serial.motes.size(); ++i) {
+        const auto &a = serial.motes[i];
+        const auto &b = parallel.motes[i];
+        EXPECT_EQ(a.mote, b.mote);
+        EXPECT_EQ(a.recordsSent, b.recordsSent);
+        EXPECT_EQ(a.recordsDelivered, b.recordsDelivered);
+        EXPECT_EQ(a.transfer.packets, b.transfer.packets);
+        EXPECT_EQ(a.transfer.complete, b.transfer.complete);
+        EXPECT_EQ(a.transfer.rounds, b.transfer.rounds);
+        EXPECT_EQ(a.transfer.channel.dropped, b.transfer.channel.dropped);
+        EXPECT_EQ(a.transfer.channel.corrupted,
+                  b.transfer.channel.corrupted);
+        EXPECT_EQ(a.transfer.uplink.transmissions,
+                  b.transfer.uplink.transmissions);
+        EXPECT_EQ(a.transfer.uplink.retransmissions,
+                  b.transfer.uplink.retransmissions);
+        EXPECT_EQ(a.sinkTheta, b.sinkTheta); // bitwise
+        EXPECT_EQ(a.maxThetaError, b.maxThetaError);
+    }
+}
+
+TEST(NetFleet, RetransmitsCompleteEveryMoteAtTwentyPercentLoss)
+{
+    auto workload = workloads::workloadByName("event_dispatch");
+    auto config = faultyConfig(4, 300);
+    auto fleet = runShardedFleet(workload, config);
+
+    EXPECT_EQ(fleet.completeMotes, 4u);
+    EXPECT_EQ(fleet.totalRecords, fleet.recordsSent);
+    // Complete delivery means the sink saw exactly what the mote
+    // measured; the streaming estimate lands near that mote's truth.
+    EXPECT_LT(fleet.maxThetaError, 0.15);
+    // The faults actually happened.
+    uint64_t dropped = 0;
+    for (const auto &mote : fleet.motes)
+        dropped += mote.transfer.channel.dropped;
+    EXPECT_GT(dropped, 0u);
+}
+
+TEST(NetFleet, FireAndForgetDegradesGracefully)
+{
+    auto workload = workloads::workloadByName("event_dispatch");
+    auto config = faultyConfig(4, 300);
+    config.uplink.retransmit = false;
+
+    auto fleet = runShardedFleet(workload, config);
+    double fraction =
+        double(fleet.totalRecords) / double(fleet.recordsSent);
+    // ~20% drop + 2% corruption, partly offset by duplicates: the
+    // delivered fraction tracks the survival rate instead of
+    // collapsing — "fewer samples", not "no samples".
+    EXPECT_GT(fraction, 0.6);
+    EXPECT_LT(fraction, 1.0);
+    for (const auto &mote : fleet.motes) {
+        EXPECT_EQ(mote.transfer.uplink.retransmissions, 0u);
+        EXPECT_GT(mote.recordsDelivered, 0u);
+    }
+}
+
+TEST(NetFleet, ExportsNetCountersWhenMetricsEnabled)
+{
+    auto workload = workloads::workloadByName("blink");
+    ShardedFleetConfig config;
+    config.motes = 2;
+    config.invocations = 50;
+    config.collector.shards = 1;
+    config.channel = net::ChannelConfig{};
+    config.channel->dropRate = 0.1;
+
+    obs::metrics().clear();
+    obs::setMetricsEnabled(true);
+    auto fleet = runShardedFleet(workload, config);
+    obs::setMetricsEnabled(false);
+
+    auto &m = obs::metrics();
+    uint64_t sent = 0;
+    for (const auto &mote : fleet.motes)
+        sent += mote.transfer.uplink.transmissions;
+    EXPECT_EQ(m.counter("net.packets_sent").value(), sent);
+    EXPECT_EQ(m.counter("net.records_delivered").value(),
+              fleet.totalRecords);
+    EXPECT_EQ(m.counter("net.motes_complete").value(),
+              fleet.completeMotes);
+    obs::metrics().clear();
+
+    // With the flag off, nothing records.
+    runShardedFleet(workload, config);
+    EXPECT_EQ(m.counter("net.packets_sent").value(), 0u);
+}
+
+TEST(NetFleet, PipelineTransportStageFeedsEstimator)
+{
+    api::PipelineConfig config;
+    config.measureInvocations = 300;
+    config.evalInvocations = 300;
+    config.jobs = 1;
+    config.transport.enabled = true;
+    config.transport.channel.dropRate = 0.15;
+    config.transport.channel.reorderWindow = 2;
+    config.transport.channel.bitFlipRate = 0.02;
+
+    api::TomographyPipeline pipeline(
+        workloads::workloadByName("event_dispatch"), config);
+    auto result = pipeline.run();
+
+    EXPECT_TRUE(result.transport.enabled);
+    EXPECT_TRUE(result.transport.complete); // retransmits on by default
+    EXPECT_GT(result.transport.packets, 0u);
+    EXPECT_EQ(result.transport.recordsDelivered,
+              result.transport.recordsSent);
+    EXPECT_GT(result.transport.channel.dropped, 0u);
+    // Complete transport delivers the identical trace, so estimation
+    // quality is unchanged from the direct path.
+    EXPECT_LT(result.branchMaxError, 0.1);
+    EXPECT_EQ(result.outcomes.size(), 5u);
+
+    // Disabled transport leaves the outcome inert.
+    config.transport.enabled = false;
+    api::TomographyPipeline direct(
+        workloads::workloadByName("event_dispatch"), config);
+    auto direct_result = direct.run();
+    EXPECT_FALSE(direct_result.transport.enabled);
+    EXPECT_EQ(direct_result.transport.packets, 0u);
 }

@@ -11,6 +11,7 @@
 
 #include "api/pipeline.hh"
 #include "causal/causal.hh"
+#include "layout/placement.hh"
 #include "pgo/pgo.hh"
 #include "sim/machine.hh"
 #include "workloads/workload.hh"
@@ -65,12 +66,12 @@ TEST(Pgo, LayoutDigestSeparatesPermutations)
 {
     std::vector<sim::BlockOrder> a = {{0, 1, 2}, {0, 2, 1}};
     std::vector<sim::BlockOrder> b = {{0, 1, 2}, {0, 1, 2}};
-    EXPECT_EQ(pgo::layoutDigest(a), pgo::layoutDigest(a));
-    EXPECT_NE(pgo::layoutDigest(a), pgo::layoutDigest(b));
+    EXPECT_EQ(layout::layoutDigest(a), layout::layoutDigest(a));
+    EXPECT_NE(layout::layoutDigest(a), layout::layoutDigest(b));
     // Moving a block across procedures must not collide.
     std::vector<sim::BlockOrder> c = {{0, 1}, {2, 0, 2, 1}};
     std::vector<sim::BlockOrder> d = {{0, 1, 2}, {0, 2, 1}};
-    EXPECT_NE(pgo::layoutDigest(c), pgo::layoutDigest(d));
+    EXPECT_NE(layout::layoutDigest(c), layout::layoutDigest(d));
 }
 
 TEST(Pgo, RankingGateHonorsFloorAndCap)
@@ -159,7 +160,7 @@ TEST(Pgo, PipelineStageInheritsKnobsAndMatchesPlacement)
     auto estimate = pipeline.estimate(run.trace);
     auto orders = pipeline.optimize(estimate.profile);
     EXPECT_EQ(result.pgo.result.initialLayoutDigest,
-              pgo::layoutDigest(orders));
+              layout::layoutDigest(orders));
 }
 
 } // namespace
