@@ -68,7 +68,7 @@ struct SharedRun
     {
         return net::EstimatorBank(*workload.module, lowered, config.costs,
                                   config.policy, config.cyclesPerTick, {},
-                                  2.0 * double(config.costs.timerRead));
+                                  sim::nestedProbeCycles(config.costs));
     }
 };
 
@@ -219,7 +219,7 @@ shardedRecoveryEqualsUnsharded(const MergeCase &c)
         return fleet::ShardedCollector(
             *sh.workload.module, sh.lowered, sh.config.costs,
             sh.config.policy, sh.config.cyclesPerTick, config, {},
-            2.0 * double(sh.config.costs.timerRead));
+            sim::nestedProbeCycles(sh.config.costs));
     };
     {
         auto sharded = make_sharded();

@@ -172,7 +172,7 @@ TEST(PropPgo, StoreRecoveryMatchesLiveBankAfterDriftCompaction)
                 // Recovery must rebuild with the controller's own
                 // forgetting parameters to continue bitwise.
                 const double nested =
-                    2.0 * double(cfg.sim.costs.timerRead);
+                    sim::nestedProbeCycles(cfg.sim.costs);
                 auto lowered = sim::lowerModule(*workload.module);
                 auto make_bank = [&] {
                     return net::EstimatorBank(

@@ -79,7 +79,7 @@ struct SharedRun
     {
         return net::EstimatorBank(*workload.module, lowered, config.costs,
                                   config.policy, config.cyclesPerTick, {},
-                                  2.0 * double(config.costs.timerRead));
+                                  sim::nestedProbeCycles(config.costs));
     }
 };
 

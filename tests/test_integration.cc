@@ -120,7 +120,7 @@ TEST(Integration, EstimatedProfileYieldsOracleLayout)
         auto config = sim::SimConfig{};
         auto est = tomography::estimateModule(
             *workload.module, lowered, config.costs, config.policy, 1,
-            2.0 * config.costs.timerRead, run.trace, *estimator);
+            sim::nestedProbeCycles(config.costs), run.trace, *estimator);
 
         Rng rng_a(1), rng_b(1);
         auto from_estimate = layout::computeModuleOrders(
@@ -198,7 +198,7 @@ TEST(Integration, AccuracyImprovesWithSamples)
         auto cut = run.trace.truncated(workload.entry, n);
         auto est = tomography::estimateModule(
             *workload.module, lowered, config.costs, config.policy, 4,
-            2.0 * config.costs.timerRead, cut, *estimator);
+            sim::nestedProbeCycles(config.costs), cut, *estimator);
         auto truth = run.profile[workload.entry].branchProbabilities(
             workload.entryProc());
         return meanAbsoluteError(est.thetas[workload.entry], truth);
@@ -227,7 +227,7 @@ TEST(Integration, EndToEndDeterminism)
             tomography::makeEstimator(tomography::EstimatorKind::Em, {});
         auto est = tomography::estimateModule(
             *workload.module, lowered, config.costs, config.policy, 8,
-            2.0 * config.costs.timerRead, run.trace, *estimator);
+            sim::nestedProbeCycles(config.costs), run.trace, *estimator);
         return est.thetas[workload.entry];
     };
     auto a = once();

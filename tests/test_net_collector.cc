@@ -47,7 +47,7 @@ struct MoteFixture
     {
         return EstimatorBank(*workload.module, lowered, config.costs,
                              config.policy, config.cyclesPerTick, {},
-                             2.0 * double(config.costs.timerRead));
+                             sim::nestedProbeCycles(config.costs));
     }
 };
 
@@ -195,7 +195,7 @@ TEST(NetCollector, RoundTripPropertyUnderSeededFaultConfigs)
     tomography::TimingModel direct_model(
         fx.workload.entryProc(), fx.lowered.procs[fx.workload.entry],
         fx.config.costs, fx.config.policy, fx.config.cyclesPerTick,
-        no_callees, 2.0 * double(fx.config.costs.timerRead));
+        no_callees, sim::nestedProbeCycles(fx.config.costs));
     tomography::StreamingEstimator direct(direct_model);
     direct.observeAll(durations);
 

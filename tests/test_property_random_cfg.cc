@@ -219,7 +219,7 @@ TEST_P(RandomCfg, EmRecoversIdentifiableBranches)
         tomography::EstimatorKind::Em, {});
     auto estimate = tomography::estimateModule(
         *program_.module, lowered, config.costs, config.policy, 1,
-        2.0 * config.costs.timerRead, run.trace, *estimator);
+        sim::nestedProbeCycles(config.costs), run.trace, *estimator);
 
     const auto &proc = program_.proc();
     if (proc.branchBlocks().empty())
@@ -235,7 +235,8 @@ TEST_P(RandomCfg, EmRecoversIdentifiableBranches)
     std::vector<double> no_callees(1, 0.0);
     tomography::TimingModel model(proc, lowered.procs[program_.entry],
                                   config.costs, config.policy, 1,
-                                  no_callees, 2.0 * config.costs.timerRead);
+                                  no_callees,
+                                  sim::nestedProbeCycles(config.costs));
     auto truth = run.profile[program_.entry].branchProbabilities(proc);
     auto diags = model.branchDiagnostics(truth);
 
@@ -382,7 +383,7 @@ TEST(ScaleStress, LargeCfgStaysWithinEnumerationBudget)
         tomography::makeEstimator(tomography::EstimatorKind::Em, options);
     auto estimate = tomography::estimateModule(
         *program.module, lowered, sim_config.costs, sim_config.policy, 2,
-        2.0 * sim_config.costs.timerRead, run.trace, *estimator);
+        sim::nestedProbeCycles(sim_config.costs), run.trace, *estimator);
 
     const auto &diag = estimate.results[program.entry];
     EXPECT_LE(diag.pathCount, options.pathEnum.maxPaths);

@@ -53,7 +53,7 @@ struct RelayRun
     {
         return net::EstimatorBank(*workload.module, lowered, config.costs,
                                   config.policy, config.cyclesPerTick, {},
-                                  2.0 * double(config.costs.timerRead));
+                                  sim::nestedProbeCycles(config.costs));
     }
 
     /** A bank fed the shared records, round-robined over @p motes. */
@@ -371,7 +371,7 @@ TEST(RelayAdopt, SnapshotOnlyEstimateCoversEveryProcedure)
     auto snapshot = relay::snapshotFromBank(sh.populatedBank(3), 1, 0);
     auto estimate = relay::estimateFromSnapshot(
         *sh.workload.module, sh.lowered, sh.config.costs, sh.config.policy,
-        sh.config.cyclesPerTick, 2.0 * double(sh.config.costs.timerRead),
+        sh.config.cyclesPerTick, sim::nestedProbeCycles(sh.config.costs),
         {}, snapshot);
     EXPECT_EQ(estimate.profile.size(),
               sh.workload.module->procedureCount());

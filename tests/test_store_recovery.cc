@@ -67,7 +67,7 @@ struct Campaign
     {
         return net::EstimatorBank(*workload.module, lowered, config.costs,
                                   config.policy, config.cyclesPerTick, {},
-                                  2.0 * config.costs.timerRead);
+                                  sim::nestedProbeCycles(config.costs));
     }
 };
 

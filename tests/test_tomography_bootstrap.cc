@@ -42,7 +42,7 @@ struct BootFixture
         model = std::make_unique<TimingModel>(
             workload.entryProc(), lowered.procs[workload.entry],
             config.costs, config.policy, 1, noCallees,
-            2.0 * config.costs.timerRead);
+            sim::nestedProbeCycles(config.costs));
         truth = run.profile[workload.entry].branchProbabilities(
             workload.entryProc());
     }
@@ -165,7 +165,7 @@ TEST(DriftTracking, ForgettingModeFollowsShiftedInputs)
     std::vector<double> no_callees(workload.module->procedureCount(), 0.0);
     TimingModel model(workload.entryProc(), lowered.procs[workload.entry],
                       config.costs, config.policy, 1, no_callees,
-                      2.0 * config.costs.timerRead);
+                      sim::nestedProbeCycles(config.costs));
 
     double truth2 = phase2.profile[workload.entry].takenProbability(
         workload.entryProc(), workload.entryProc().branchBlocks()[0]);

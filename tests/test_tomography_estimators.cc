@@ -81,7 +81,7 @@ estimateProc(const Module &module, ProcId id, uint64_t cycles_per_tick,
     TimingModel model(module.procedure(id), lowered.procs[id],
                       sim::telosCostModel(), sim::PredictPolicy::NotTaken,
                       cycles_per_tick, no_callees,
-                      2.0 * sim::telosCostModel().timerRead);
+                      sim::nestedProbeCycles(sim::telosCostModel()));
     auto estimator = makeEstimator(kind, options);
     return estimator->estimate(model, trace.durations(id));
 }
@@ -207,7 +207,7 @@ TEST(Estimators, LoopIterationCountRecovered)
     auto run = simulator.run(workload.entry, 2000);
 
     auto lowered = sim::lowerModule(*workload.module);
-    double probes = 2.0 * config.costs.timerRead;
+    double probes = sim::nestedProbeCycles(config.costs);
     auto estimator = makeEstimator(EstimatorKind::Em, {});
     auto est = estimateModule(*workload.module, lowered, config.costs,
                               config.policy, 1, probes, run.trace,
@@ -236,7 +236,7 @@ TEST(Estimators, ModuleEstimateHandlesCallees)
     auto estimator = makeEstimator(EstimatorKind::Em, {});
     auto est = estimateModule(*workload.module, lowered, config.costs,
                               config.policy, 1,
-                              2.0 * config.costs.timerRead, run.trace,
+                              sim::nestedProbeCycles(config.costs), run.trace,
                               *estimator);
 
     // Both procedures were invoked and estimated.
@@ -277,7 +277,7 @@ TEST_P(EmSuiteAccuracy, MaeSmallAtFineResolution)
     auto estimator = makeEstimator(EstimatorKind::Em, {});
     auto est = estimateModule(*workload.module, lowered, config.costs,
                               config.policy, 1,
-                              2.0 * config.costs.timerRead, run.trace,
+                              sim::nestedProbeCycles(config.costs), run.trace,
                               *estimator);
 
     std::vector<double> truth_all, est_all;
@@ -325,7 +325,8 @@ TEST(Estimators, BranchFreeProcedureYieldsEmptyTheta)
     auto estimator = makeEstimator(EstimatorKind::Em, {});
     auto est =
         estimateModule(module, lowered, config.costs, config.policy, 1,
-                       2.0 * config.costs.timerRead, run.trace, *estimator);
+                       sim::nestedProbeCycles(config.costs), run.trace,
+                       *estimator);
     EXPECT_TRUE(est.thetas[id].empty());
     EXPECT_GT(est.meanCycles[id], 0.0);
 }

@@ -43,7 +43,7 @@ struct FitFixture
         model = std::make_unique<TimingModel>(
             workload.entryProc(), lowered.procs[workload.entry],
             config.costs, config.policy, ticks, noCallees,
-            2.0 * config.costs.timerRead);
+            sim::nestedProbeCycles(config.costs));
         truth = run.profile[workload.entry].branchProbabilities(
             workload.entryProc());
         durations = run.trace.durations(workload.entry);
@@ -111,7 +111,7 @@ TEST(FitQuality, DetectsWrongCostModel)
     TimingModel wrong_model(
         fx.workload.entryProc(), fx.lowered.procs[fx.workload.entry],
         sim::micazCostModel(), sim::PredictPolicy::NotTaken, 1,
-        fx.noCallees, 2.0 * sim::telosCostModel().timerRead);
+        fx.noCallees, sim::nestedProbeCycles(sim::telosCostModel()));
 
     auto right = assessFit(*fx.model, fx.truth, fx.durations);
     auto wrong = assessFit(wrong_model, fx.truth, fx.durations);

@@ -176,7 +176,7 @@ TEST_P(ForwardModelMatch, MeanCyclesMatchesSimulation)
     auto means = meanCyclesBottomUp(
         *workload.module, lowered, config.costs, config.policy,
         config.cyclesPerTick, run.profile,
-        2.0 * double(config.costs.timerRead));
+        sim::nestedProbeCycles(config.costs));
 
     OnlineStats observed;
     for (uint64_t d : run.trace.trueDurations(workload.entry))

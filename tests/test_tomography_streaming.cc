@@ -45,7 +45,7 @@ struct StreamFixture
         model = std::make_unique<TimingModel>(
             workload.entryProc(), lowered.procs[workload.entry],
             config.costs, config.policy, ticks, noCallees,
-            2.0 * config.costs.timerRead);
+            sim::nestedProbeCycles(config.costs));
         truth = run.profile[workload.entry].branchProbabilities(
             workload.entryProc());
     }

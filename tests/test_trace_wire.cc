@@ -120,10 +120,10 @@ TEST(WireFormat, EstimationWorksFromDecodedTrace)
         tomography::makeEstimator(tomography::EstimatorKind::Em, {});
     auto from_original = tomography::estimateModule(
         *workload.module, lowered, config.costs, config.policy, 1,
-        2.0 * config.costs.timerRead, run.trace, *estimator);
+        sim::nestedProbeCycles(config.costs), run.trace, *estimator);
     auto from_decoded = tomography::estimateModule(
         *workload.module, lowered, config.costs, config.policy, 1,
-        2.0 * config.costs.timerRead, decoded, *estimator);
+        sim::nestedProbeCycles(config.costs), decoded, *estimator);
 
     const auto &a = from_original.thetas[workload.entry];
     const auto &b = from_decoded.thetas[workload.entry];
