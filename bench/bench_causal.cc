@@ -15,7 +15,6 @@
 
 #include "common.hh"
 
-#include <chrono>
 #include <iostream>
 
 #include "causal/causal.hh"
@@ -25,18 +24,6 @@
 
 using namespace ct;
 using namespace ct::bench;
-
-namespace {
-
-double
-microsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -81,29 +68,31 @@ main(int argc, char **argv)
                               config.policy, workload.entry,
                               std::move(theta));
 
-        auto analytic_start = std::chrono::steady_clock::now();
-        auto profile = engine.profile({.workload = workload.name});
-        analytic_us_total += microsSince(analytic_start);
+        causal::CausalProfile profile;
+        analytic_us_total += double(spanUs("bench.causal.analytic", [&] {
+            profile = engine.profile({.workload = workload.name});
+        }));
 
         // Ground truth: one full re-simulation per ranked procedure.
-        auto resim_start = std::chrono::steady_clock::now();
-        for (const auto &p : profile.procs) {
-            std::vector<uint8_t> zero(workload.module->procedureCount(),
-                                      0);
-            zero[p.proc] = 1;
-            auto counter = simulate(zero);
-            double resim_delta =
-                (double(base.procCycles[workload.entry]) -
-                 double(counter.procCycles[workload.entry])) /
-                events;
-            double err = std::abs(resim_delta - p.deltaCyclesPerEvent);
-            max_agree_err = std::max(max_agree_err, err);
-            table.row(workload.name, p.name, p.callRate, p.flatRank,
-                      p.causalRank, p.deltaCyclesPerEvent,
-                      p.virtualSpeedupPct,
-                      p.deltaEnergyMicrojoulesPerEvent, resim_delta, err);
-        }
-        resim_us_total += microsSince(resim_start);
+        resim_us_total += double(spanUs("bench.causal.resim", [&] {
+            for (const auto &p : profile.procs) {
+                std::vector<uint8_t> zero(
+                    workload.module->procedureCount(), 0);
+                zero[p.proc] = 1;
+                auto counter = simulate(zero);
+                double resim_delta =
+                    (double(base.procCycles[workload.entry]) -
+                     double(counter.procCycles[workload.entry])) /
+                    events;
+                double err = std::abs(resim_delta - p.deltaCyclesPerEvent);
+                max_agree_err = std::max(max_agree_err, err);
+                table.row(workload.name, p.name, p.callRate, p.flatRank,
+                          p.causalRank, p.deltaCyclesPerEvent,
+                          p.virtualSpeedupPct,
+                          p.deltaEnergyMicrojoulesPerEvent, resim_delta,
+                          err);
+            }
+        }));
 
         disagreements += profile.rankDisagreements;
         procs_total += profile.procs.size();

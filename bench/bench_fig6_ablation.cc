@@ -10,25 +10,12 @@
 
 #include "common.hh"
 
-#include <chrono>
-
 #include "exec/thread_pool.hh"
 #include "layout/evaluator.hh"
 #include "tomography/streaming.hh"
 
 using namespace ct;
 using namespace ct::bench;
-
-namespace {
-
-double
-millisSince(std::chrono::steady_clock::time_point start)
-{
-    auto delta = std::chrono::steady_clock::now() - start;
-    return std::chrono::duration<double, std::milli>(delta).count();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -64,11 +51,13 @@ main(int argc, char **argv)
                     config, *inputs, seed ^ 0xbe9c);
                 auto run = simulator.run(workload.entry, samples);
 
-                auto start = std::chrono::steady_clock::now();
-                auto estimate =
-                    estimateFromTrace(workload, run.trace, ticks, kind);
+                tomography::ModuleEstimate estimate;
+                int64_t us = spanUs("bench.fig6.estimate", [&] {
+                    estimate =
+                        estimateFromTrace(workload, run.trace, ticks, kind);
+                });
                 Cell out;
-                out.ms = millisSince(start);
+                out.ms = double(us) / 1e3;
 
                 auto accuracy = scoreAccuracy(workload, run, estimate);
                 out.mae = accuracy.mae;

@@ -104,13 +104,13 @@ double
 hammer(size_t threads, size_t iters, Bump bump)
 {
     exec::ThreadPool pool(threads);
-    obs::StopwatchUs watch;
-    pool.parallelFor(threads, [&](size_t) {
-        for (size_t i = 0; i < iters; ++i)
-            bump();
+    int64_t us = spanUs("bench.fleet.hammer", [&] {
+        pool.parallelFor(threads, [&](size_t) {
+            for (size_t i = 0; i < iters; ++i)
+                bump();
+        });
     });
-    return double(watch.elapsedUs()) * 1e3 /
-           double(threads ? threads * iters : iters);
+    return double(us) * 1e3 / double(threads ? threads * iters : iters);
 }
 
 } // namespace

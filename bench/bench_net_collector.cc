@@ -20,7 +20,6 @@
 #include "common.hh"
 
 #include "fleet/fleet.hh"
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 using namespace ct;
@@ -75,9 +74,11 @@ main(int argc, char **argv)
             config.uplink.retransmit = retransmit;
 
             std::unique_ptr<fleet::ShardedCollector> sink;
-            obs::StopwatchUs watch;
-            auto fleet = fleet::runShardedFleet(workload, config, &sink);
-            double elapsed_s = double(watch.elapsedUs()) / 1e6;
+            fleet::ShardedFleetResult fleet;
+            int64_t us = spanUs("bench.net_collector.campaign", [&] {
+                fleet = fleet::runShardedFleet(workload, config, &sink);
+            });
+            double elapsed_s = double(us) / 1e6;
 
             uint64_t retrans = 0;
             for (const auto &mote : fleet.motes)

@@ -26,14 +26,14 @@
  *
  * The adopt rows time the "fresh root joins the campaign" path: adopt
  * the shipped snapshot into an empty bank, and derive a
- * placement-ready estimate from it (relay::estimateFromSnapshot) —
+ * placement-ready estimate from its slots (fleet::estimateFromSlots) —
  * the zero-replay alternative to re-streaming the WAL.
  */
 
 #include "common.hh"
 
+#include "fleet/fleet.hh"
 #include "net/collector.hh"
-#include "obs/metrics.hh"
 #include "relay/tree.hh"
 #include "sim/machine.hh"
 #include "util/logging.hh"
@@ -172,15 +172,16 @@ main(int argc, char **argv)
                                          sim_config.policy,
                                          config.cyclesPerTick, {},
                                          nested_probe);
-                obs::StopwatchUs adopt_watch;
-                relay::adoptIntoBank(result.root, fresh);
-                int64_t adopt_us = adopt_watch.elapsedUs();
-                obs::StopwatchUs estimate_watch;
-                auto estimate = relay::estimateFromSnapshot(
-                    *workload.module, lowered, sim_config.costs,
-                    sim_config.policy, config.cyclesPerTick, nested_probe,
-                    {}, result.root);
-                int64_t estimate_us = estimate_watch.elapsedUs();
+                int64_t adopt_us = spanUs("bench.relay.adopt", [&] {
+                    relay::adoptIntoBank(result.root, fresh);
+                });
+                tomography::ModuleEstimate estimate;
+                int64_t estimate_us = spanUs("bench.relay.estimate", [&] {
+                    estimate = fleet::estimateFromSlots(
+                        *workload.module, lowered, sim_config.costs,
+                        sim_config.policy, config.cyclesPerTick,
+                        nested_probe, {}, result.root.slots);
+                });
                 CT_ASSERT(estimate.profile.size() ==
                               workload.module->procedureCount(),
                           "snapshot estimate missing procedures");

@@ -15,9 +15,9 @@
 #include "common.hh"
 
 #include <filesystem>
+#include <memory>
 
 #include "net/collector.hh"
-#include "obs/metrics.hh"
 #include "sim/lower.hh"
 #include "sim/machine.hh"
 #include "store/store.hh"
@@ -85,18 +85,17 @@ main(int argc, char **argv)
         config.segmentBytes = segbytes;
         config.fsyncEveryRecords = batch;
 
-        obs::StopwatchUs watch;
         store::StoreStats stats;
         size_t segments = 0;
-        {
+        int64_t us = spanUs("bench.store.append", [&] {
             store::Store store(dir, config);
             for (const auto &r : records)
                 store.append(1, r);
             store.flush();
             stats = store.stats();
             segments = store.segments().size();
-        }
-        double elapsed_s = double(watch.elapsedUs()) / 1e6;
+        });
+        double elapsed_s = double(us) / 1e6;
         table.row("append", batch, "-", stats.recordsAppended,
                   stats.bytesAppended, segments, stats.fsyncs, "-", "-",
                   "-");
@@ -131,24 +130,23 @@ main(int argc, char **argv)
                 }
             }
 
-            obs::StopwatchUs watch;
-            store::Store reopened(dir, config);
-            auto resumed = makeBank(workload, lowered, sim_config);
-            net::resumeBank(reopened, resumed);
-            double elapsed_s = double(watch.elapsedUs()) / 1e6;
+            std::unique_ptr<store::Store> reopened;
+            int64_t us = spanUs("bench.store.recover", [&] {
+                reopened = std::make_unique<store::Store>(dir, config);
+                auto resumed = makeBank(workload, lowered, sim_config);
+                net::resumeBank(*reopened, resumed);
+            });
 
-            size_t replayed = reopened.recoveredTail().size();
-            size_t slots = reopened.recoveredCheckpoint()
-                               ? reopened.recoveredCheckpoint()->slots.size()
+            size_t replayed = reopened->recoveredTail().size();
+            size_t slots = reopened->recoveredCheckpoint()
+                               ? reopened->recoveredCheckpoint()->slots.size()
                                : 0;
             table.row("recover", "-", checkpoint ? "yes" : "no", length,
-                      "-", reopened.segments().size(), "-",
-                      reopened.nextOrdinal(), replayed, slots);
+                      "-", reopened->segments().size(), "-",
+                      reopened->nextOrdinal(), replayed, slots);
             inform("recover ", length, " records ",
-                   checkpoint ? "with" : "without", " checkpoint: ",
-                   watch.elapsedUs(), " us (", replayed,
-                   " entries replayed)");
-            (void)elapsed_s;
+                   checkpoint ? "with" : "without", " checkpoint: ", us,
+                   " us (", replayed, " entries replayed)");
             if (!keep_dirs)
                 fs::remove_all(dir);
         }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "api/pipeline.hh"
+#include "obs/trace.hh"
 #include "stats/metrics.hh"
 #include "tomography/estimator.hh"
 #include "util/cli.hh"
@@ -109,6 +110,20 @@ tomography::ModuleEstimate estimateFromTrace(
     const workloads::Workload &workload, const trace::TimingTrace &trace,
     uint64_t cycles_per_tick, tomography::EstimatorKind kind,
     const tomography::EstimatorOptions &options = {});
+
+/**
+ * Run @p work inside the span @p name and return its wall time in
+ * microseconds; the span also traces it and records `<name>_us` when
+ * the tracer or metrics are on.
+ */
+template <typename Work>
+int64_t
+spanUs(const char *name, Work &&work)
+{
+    obs::Span span(name);
+    work();
+    return span.elapsedUs();
+}
 
 } // namespace ct::bench
 

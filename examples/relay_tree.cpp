@@ -6,7 +6,7 @@
  * fragmented, CRC-framed, retransmitted snapshot over a lossy link.
  *
  * Output: a per-link table (fragments, retransmissions, attempts,
- * wire bytes, merge latency) plus the campaign verdict — the root
+ * wire bytes) plus the campaign verdict — the root
  * digest against the flat single-sink digest. Those two numbers being
  * equal is the subsystem's load-bearing invariant: aggregation
  * through any tree shape, at any per-link loss rate the retry budget
@@ -62,14 +62,14 @@ main(int argc, char **argv)
 
     TablePrinter table("per-link shipping (child -> parent)");
     table.setHeader({"link", "slots", "frags", "sent", "retx", "attempts",
-                     "wire B", "merge us"});
+                     "wire B"});
     for (const auto &link : result.links) {
         table.row(std::to_string(link.child) + "->" +
                       std::to_string(link.parent),
                   link.slots, link.ship.fragments,
                   link.ship.uplink.transmissions,
                   link.ship.uplink.retransmissions, link.ship.attempts,
-                  link.ship.wireBytes, link.mergeUs);
+                  link.ship.wireBytes);
     }
     table.print(std::cout);
 

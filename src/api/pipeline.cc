@@ -74,13 +74,11 @@ sim::RunResult
 TomographyPipeline::measure()
 {
     CT_SPAN("pipeline.measure");
-    obs::StopwatchUs watch;
     auto run = workloads::measureLane(workload_, natural_, config_.sim,
                                       config_.seed,
                                       config_.measureInvocations);
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();
-        m.histogram("pipeline.measure_us").record(watch.elapsedUs());
         m.counter("pipeline.measure.invocations")
             .add(config_.measureInvocations);
         m.counter("pipeline.measure.records").add(run.trace.size());
@@ -93,7 +91,6 @@ TomographyPipeline::transport(const trace::TimingTrace &trace,
                               TransportOutcome &outcome)
 {
     CT_SPAN("pipeline.transport");
-    obs::StopwatchUs watch;
     const TransportConfig &cfg = config_.transport;
     uint64_t seed =
         cfg.seed ? cfg.seed : workloads::transportSeed(config_.seed);
@@ -121,11 +118,8 @@ TomographyPipeline::transport(const trace::TimingTrace &trace,
         outcome.recordsPersisted = sink.store()->stats().recordsAppended;
     }
 
-    if (obs::metricsEnabled()) {
-        obs::metrics().histogram("pipeline.transport_us")
-            .record(watch.elapsedUs());
+    if (obs::metricsEnabled())
         net::recordTransferMetrics(transfer, sink.stats());
-    }
 
     if (cfg.resumeFromStore && sink.store()) {
         // Recovered records first, then this run's, with per-procedure
@@ -180,17 +174,14 @@ tomography::ModuleEstimate
 TomographyPipeline::estimate(const trace::TimingTrace &trace)
 {
     CT_SPAN("pipeline.estimate");
-    obs::StopwatchUs watch;
     auto estimate = workloads::estimateTrace(
         workload_, natural_, config_.sim, config_.estimator,
         config_.estimatorOptions, trace);
     if (obs::metricsEnabled()) {
-        auto &m = obs::metrics();
-        m.histogram("pipeline.estimate_us").record(watch.elapsedUs());
         size_t estimated = 0;
         for (const auto &theta : estimate.thetas)
             estimated += !theta.empty();
-        m.counter("pipeline.estimate.procs").add(estimated);
+        obs::metrics().counter("pipeline.estimate.procs").add(estimated);
     }
     return estimate;
 }
@@ -200,7 +191,6 @@ TomographyPipeline::causalProfile(const sim::RunResult &measure_run,
                                   const tomography::ModuleEstimate &estimate)
 {
     CT_SPAN("pipeline.causal");
-    obs::StopwatchUs watch;
     const CausalConfig &cfg = config_.causalProfile;
 
     causal::ModuleTheta theta =
@@ -218,9 +208,6 @@ TomographyPipeline::causalProfile(const sim::RunResult &measure_run,
     options.workload = workload_.name;
     auto profile = engine.profile(options);
 
-    if (obs::metricsEnabled())
-        obs::metrics().histogram("pipeline.causal_us")
-            .record(watch.elapsedUs());
     if (!cfg.jsonOut.empty()) {
         profile.writeJson(cfg.jsonOut);
         inform("wrote causal profile ", cfg.jsonOut);
@@ -236,15 +223,10 @@ tomography::ModuleEstimate
 TomographyPipeline::adoptFromSnapshot(const relay::Snapshot &snapshot)
 {
     CT_SPAN("pipeline.adopt");
-    obs::StopwatchUs watch;
-    auto estimate = relay::estimateFromSnapshot(
+    return fleet::estimateFromSlots(
         *workload_.module, natural_, config_.sim.costs, config_.sim.policy,
         config_.sim.cyclesPerTick, sim::nestedProbeCycles(config_.sim.costs),
-        config_.estimatorOptions, snapshot);
-    if (obs::metricsEnabled())
-        obs::metrics().histogram("pipeline.adopt_us")
-            .record(watch.elapsedUs());
-    return estimate;
+        config_.estimatorOptions, snapshot.slots);
 }
 
 std::optional<tomography::ModuleEstimate>
@@ -261,7 +243,6 @@ TomographyPipeline::relayStage(const trace::TimingTrace &delivered,
                                PipelineResult &result)
 {
     CT_SPAN("pipeline.relay");
-    obs::StopwatchUs watch;
     const RelayConfig &cfg = config_.relay;
     uint64_t base_seed =
         cfg.seed ? cfg.seed : workloads::relaySeed(config_.seed);
@@ -315,7 +296,6 @@ TomographyPipeline::relayStage(const trace::TimingTrace &delivered,
     }
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();
-        m.histogram("pipeline.relay_us").record(watch.elapsedUs());
         m.counter("relay.pipeline_hops").add(out.shipments.size());
         m.counter(out.digestMatch ? "relay.pipeline_digest_match"
                                   : "relay.pipeline_digest_mismatch")
@@ -327,7 +307,6 @@ BudgetOutcome
 TomographyPipeline::planBudget(const tomography::ModuleEstimate &estimate)
 {
     CT_SPAN("pipeline.budget");
-    obs::StopwatchUs watch;
     const BudgetConfig &cfg = config_.budget;
 
     auto theta = causal::normalizeTheta(*workload_.module, estimate.thetas);
@@ -350,10 +329,6 @@ TomographyPipeline::planBudget(const tomography::ModuleEstimate &estimate)
         out.choices.push_back({group.name, cand.name,
                                cand.gainCyclesPerEvent, cand.flashBytes});
     }
-
-    if (obs::metricsEnabled())
-        obs::metrics().histogram("pipeline.budget_us")
-            .record(watch.elapsedUs());
     return out;
 }
 
@@ -361,14 +336,10 @@ std::vector<sim::BlockOrder>
 TomographyPipeline::optimize(const ir::ModuleProfile &profile)
 {
     CT_SPAN("pipeline.optimize");
-    obs::StopwatchUs watch;
     auto orders =
         workloads::placeFromProfile(*workload_.module, profile, config_.seed);
-    if (obs::metricsEnabled()) {
-        auto &m = obs::metrics();
-        m.histogram("pipeline.optimize_us").record(watch.elapsedUs());
-        m.counter("pipeline.optimize.procs").add(orders.size());
-    }
+    if (obs::metricsEnabled())
+        obs::metrics().counter("pipeline.optimize.procs").add(orders.size());
     return orders;
 }
 
@@ -377,7 +348,6 @@ TomographyPipeline::evaluate(const std::string &name,
                              const std::vector<sim::BlockOrder> &orders)
 {
     CT_SPAN("pipeline.evaluate");
-    obs::StopwatchUs watch;
     // Deployment build (no probes); every placement sees the same events.
     auto run = workloads::evaluateLane(workload_, orders, config_.sim,
                                        config_.seed, config_.evalInvocations);
@@ -392,11 +362,8 @@ TomographyPipeline::evaluate(const std::string &name,
     out.dynamicJumps = run.dynamicJumps;
     out.energyMicrojoules =
         sim::telosEnergyModel().energyMicrojoules(run.activity);
-    if (obs::metricsEnabled()) {
-        auto &m = obs::metrics();
-        m.histogram("pipeline.evaluate_us").record(watch.elapsedUs());
-        m.counter("pipeline.evaluate.placements").add(1);
-    }
+    if (obs::metricsEnabled())
+        obs::metrics().counter("pipeline.evaluate.placements").add(1);
     return out;
 }
 
@@ -529,7 +496,6 @@ TomographyPipeline::runStages()
 
     if (config_.pgo.enabled) {
         CT_SPAN("pipeline.pgo");
-        obs::StopwatchUs watch;
         // The controller inherits the pipeline-level knobs so its
         // bootstrap reproduces the "tomography" candidate bitwise.
         pgo::PgoConfig cfg = config_.pgo;
@@ -542,9 +508,6 @@ TomographyPipeline::runStages()
         pgo::ContinuousPgo loop(workload_, cfg);
         result.pgo.enabled = true;
         result.pgo.result = loop.run();
-        if (obs::metricsEnabled())
-            obs::metrics().histogram("pipeline.pgo_us")
-                .record(watch.elapsedUs());
     }
     return result;
 }

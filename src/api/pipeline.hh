@@ -129,7 +129,7 @@ struct RelayConfig
     std::string snapshotOut;
     /**
      * Replace the pipeline's estimate with one derived from the
-     * root's adopted snapshot (relay::estimateFromSnapshot), so the
+     * root's adopted snapshot (fleet::estimateFromSlots), so the
      * placement stage optimizes from exactly what survived the relay
      * — the paper's estimation-at-the-root deployment. Ignored when
      * the shipment failed (the sink-side estimate stands).
@@ -403,7 +403,7 @@ class TomographyPipeline
      * instead of a trace: a fresh root (new process, no WAL, no
      * telemetry) adopts a campaign wholesale and proceeds straight to
      * placement. Per-(mote, proc) states collapse onto one estimate
-     * per procedure (relay::estimateFromSnapshot).
+     * per procedure (fleet::estimateFromSlots).
      */
     tomography::ModuleEstimate
     adoptFromSnapshot(const relay::Snapshot &snapshot);

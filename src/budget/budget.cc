@@ -399,7 +399,6 @@ BudgetPlan
 solve(const Instance &instance, Solver solver, const DpLimits &limits)
 {
     CT_SPAN("budget.solve");
-    obs::StopwatchUs stopwatch;
 
     BudgetPlan plan;
     Assignment greedy = greedySolve(instance);
@@ -488,7 +487,6 @@ solve(const Instance &instance, Solver solver, const DpLimits &limits)
         if (plan.energyBinding)
             m.counter("budget.binding_energy").add(1);
         m.gauge("budget.gap_pct").set(plan.optimalityGapPct);
-        m.histogram("budget.solve_us").record(stopwatch.elapsedUs());
     }
     return plan;
 }

@@ -467,7 +467,6 @@ CausalProfile
 Engine::profile(const ProfileOptions &options) const
 {
     CT_SPAN("causal.profile");
-    obs::StopwatchUs stopwatch;
     size_t solves = 0;
 
     CausalProfile out;
@@ -595,7 +594,6 @@ Engine::profile(const ProfileOptions &options) const
             m.gauge("causal.top_virtual_speedup_pct")
                 .set(out.procs.front().virtualSpeedupPct);
         }
-        m.histogram("causal.profile_us").record(stopwatch.elapsedUs());
     }
     return out;
 }

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,22 +24,12 @@
 #include "tomography/streaming.hh"
 #include "tomography/timing_model.hh"
 #include "trace/wire_format.hh"
+#include "util/str.hh"
 #include "workloads/campaign.hh"
 
 namespace ct::check {
 
 namespace {
-
-std::string
-fmt(const char *format, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, format);
-    std::vsnprintf(buf, sizeof buf, format, args);
-    va_end(args);
-    return buf;
-}
 
 /** Field-by-field bitwise comparison helper for invariance oracles. */
 class Differ
@@ -66,14 +55,14 @@ class Differ
         if (!why_.empty())
             return;
         if (a.size() != b.size()) {
-            why_ = fmt("%s length differs: %zu vs %zu", name, a.size(),
-                       b.size());
+            why_ = format("%s length differs: %zu vs %zu", name, a.size(),
+                          b.size());
             return;
         }
         for (size_t i = 0; i < a.size(); ++i) {
             if (a[i] != b[i]) {
-                why_ = fmt("%s[%zu] differs: %.17g vs %.17g", name, i, a[i],
-                           b[i]);
+                why_ = format("%s[%zu] differs: %.17g vs %.17g", name, i, a[i],
+                              b[i]);
                 return;
             }
         }
@@ -102,12 +91,14 @@ diffTraces(Differ &d, const char *label, const trace::TimingTrace &a,
         if (x.proc != y.proc || x.startTick != y.startTick ||
             x.endTick != y.endTick || x.invocation != y.invocation) {
             d.eq(label,
-                 fmt("record %zu (p%u %lld..%lld #%llu)", i, unsigned(x.proc),
-                     (long long)x.startTick, (long long)x.endTick,
-                     (unsigned long long)x.invocation),
-                 fmt("record %zu (p%u %lld..%lld #%llu)", i, unsigned(y.proc),
-                     (long long)y.startTick, (long long)y.endTick,
-                     (unsigned long long)y.invocation));
+                 format("record %zu (p%u %lld..%lld #%llu)", i,
+                        unsigned(x.proc), (long long)x.startTick,
+                        (long long)x.endTick,
+                        (unsigned long long)x.invocation),
+                 format("record %zu (p%u %lld..%lld #%llu)", i,
+                        unsigned(y.proc), (long long)y.startTick,
+                        (long long)y.endTick,
+                        (unsigned long long)y.invocation));
             return;
         }
     }
@@ -179,12 +170,12 @@ estimatorRoundTripOracle(const CfgScenario &scenario,
         judged = true;
         double estimated = estimate.thetas[sim.program.entry][b];
         if (std::abs(estimated - truth[b]) > config.tolerance) {
-            return fmt("branch %zu: estimated %.4f vs true %.4f "
-                       "(tolerance %.3f, separation %.2f ticks, visit rate "
-                       "%.2f) under %s",
-                       b, estimated, truth[b], config.tolerance,
-                       diags[b].separationTicks, diags[b].visitRate,
-                       tomography::estimatorName(config.kind));
+            return format("branch %zu: estimated %.4f vs true %.4f "
+                          "(tolerance %.3f, separation %.2f ticks, visit rate "
+                          "%.2f) under %s",
+                          b, estimated, truth[b], config.tolerance,
+                          diags[b].separationTicks, diags[b].visitRate,
+                          tomography::estimatorName(config.kind));
         }
     }
     return judged ? std::nullopt : skipCase();
@@ -246,16 +237,16 @@ emVsMomentOracle(const CfgScenario &scenario)
         double em_theta = em_est.thetas[sim.program.entry][b];
         double mo_theta = mo_est.thetas[sim.program.entry][b];
         if (std::abs(em_theta - truth[b]) > 0.08)
-            return fmt("EM off truth on branch %zu: %.4f vs %.4f", b,
-                       em_theta, truth[b]);
+            return format("EM off truth on branch %zu: %.4f vs %.4f", b,
+                          em_theta, truth[b]);
         if (std::abs(mo_theta - truth[b]) > mo_tol)
-            return fmt("moment off truth on branch %zu: %.4f vs %.4f "
-                       "(tolerance %.2f for %zu params)",
-                       b, mo_theta, truth[b], mo_tol, params);
+            return format("moment off truth on branch %zu: %.4f vs %.4f "
+                          "(tolerance %.2f for %zu params)",
+                          b, mo_theta, truth[b], mo_tol, params);
         if (std::abs(em_theta - mo_theta) > agree_tol)
-            return fmt("estimators disagree on branch %zu: EM %.4f vs "
-                       "moment %.4f (truth %.4f)",
-                       b, em_theta, mo_theta, truth[b]);
+            return format("estimators disagree on branch %zu: EM %.4f vs "
+                          "moment %.4f (truth %.4f)",
+                          b, em_theta, mo_theta, truth[b]);
     }
     return judged ? std::nullopt : skipCase();
 }
@@ -266,7 +257,8 @@ wireRoundTripOracle(const trace::TimingTrace &trace)
     auto bytes = trace::encodeTrace(trace);
     trace::TimingTrace decoded;
     if (!trace::decodeTrace(bytes, decoded))
-        return fmt("honest %zu-record trace failed to decode", trace.size());
+        return format("honest %zu-record trace failed to decode",
+                      trace.size());
     Differ d;
     diffTraces(d, "round-tripped trace", trace, decoded);
     if (!d.same())
@@ -298,38 +290,38 @@ packetRoundTripOracle(const trace::TimingTrace &trace, uint16_t mote,
     for (size_t i = 0; i < packets.size(); ++i) {
         const auto &packet = packets[i];
         if (packet.seq != i)
-            return fmt("packet %zu has sequence %u", i, packet.seq);
+            return format("packet %zu has sequence %u", i, packet.seq);
         auto frame = net::serializePacket(packet);
         if (frame.size() > mtu)
-            return fmt("packet %zu frame is %zu bytes > MTU %zu", i,
-                       frame.size(), mtu);
+            return format("packet %zu frame is %zu bytes > MTU %zu", i,
+                          frame.size(), mtu);
         on_air += frame.size();
         net::Packet parsed;
         if (!net::parsePacket(frame, parsed))
-            return fmt("packet %zu failed to re-parse", i);
+            return format("packet %zu failed to re-parse", i);
         if (parsed.mote != mote || parsed.seq != packet.seq ||
             parsed.payload != packet.payload)
-            return fmt("packet %zu did not round-trip the header/payload",
-                       i);
+            return format("packet %zu did not round-trip the header/payload",
+                          i);
         // Self-containment: each payload decodes on its own.
         size_t before = records.size();
         if (!net::decodePayload(parsed.payload, records))
-            return fmt("packet %zu payload not self-contained", i);
+            return format("packet %zu payload not self-contained", i);
         if (records.size() == before)
-            return fmt("packet %zu carried zero records", i);
+            return format("packet %zu carried zero records", i);
     }
     if (on_air != net::framedTraceBytes(trace, mtu))
         return "framedTraceBytes disagrees with actual frame total";
 
     if (records.size() != trace.size())
-        return fmt("reassembled %zu records from %zu", records.size(),
-                   trace.size());
+        return format("reassembled %zu records from %zu", records.size(),
+                      trace.size());
     for (size_t i = 0; i < records.size(); ++i) {
         const auto &x = trace[i];
         const auto &y = records[i];
         if (x.proc != y.proc || x.startTick != y.startTick ||
             x.endTick != y.endTick)
-            return fmt("record %zu changed across the packet layer", i);
+            return format("record %zu changed across the packet layer", i);
     }
     return std::nullopt;
 }
@@ -429,8 +421,8 @@ makeScratchDir(const char *tag)
 {
     static std::atomic<uint64_t> counter{0};
     auto dir = std::filesystem::temp_directory_path() /
-               fmt("ct_%s_%d_%llu", tag, int(::getpid()),
-                   (unsigned long long)counter.fetch_add(1));
+               format("ct_%s_%d_%llu", tag, int(::getpid()),
+                      (unsigned long long)counter.fetch_add(1));
     std::filesystem::remove_all(dir);
     return dir.string();
 }
@@ -578,12 +570,12 @@ storeCrashRecoveryOracle(const StoreScenario &scenario)
             disk_bytes += size_t(fs::file_size(p, ec));
         }
         if (seg_paths.size() != file_start.size() - deleted_files)
-            return fmt("framing model predicts %zu segments, disk has %zu",
-                       file_start.size() - deleted_files,
-                       seg_paths.size());
+            return format("framing model predicts %zu segments, disk has %zu",
+                          file_start.size() - deleted_files,
+                          seg_paths.size());
         if (disk_bytes != total_bytes - deleted_bytes)
-            return fmt("framing model predicts %zu WAL bytes, disk has %zu",
-                       total_bytes - deleted_bytes, disk_bytes);
+            return format("framing model predicts %zu WAL bytes, disk has %zu",
+                          total_bytes - deleted_bytes, disk_bytes);
 
         // Crash injection + the model's surviving-prefix prediction.
         // Offsets range over the *surviving* byte stream (compaction
@@ -681,31 +673,31 @@ storeCrashRecoveryOracle(const StoreScenario &scenario)
             expected_bank.observe(mote_of(i), records[i]);
 
         if (reopened.nextOrdinal() != expected)
-            return fmt("recovered nextOrdinal %llu != expected prefix %llu "
-                       "(wal prefix %zu, checkpoint coverage %llu)",
-                       (unsigned long long)reopened.nextOrdinal(),
-                       (unsigned long long)expected, surviving,
-                       (unsigned long long)covered);
+            return format("recovered nextOrdinal %llu != expected prefix %llu "
+                          "(wal prefix %zu, checkpoint coverage %llu)",
+                          (unsigned long long)reopened.nextOrdinal(),
+                          (unsigned long long)expected, surviving,
+                          (unsigned long long)covered);
         if (reopened.stats().checkpointsDiscarded != expect_discarded)
-            return fmt("recovery discarded %llu checkpoints, expected %llu",
-                       (unsigned long long)
-                           reopened.stats().checkpointsDiscarded,
-                       (unsigned long long)expect_discarded);
+            return format("recovery discarded %llu checkpoints, expected %llu",
+                          (unsigned long long)
+                              reopened.stats().checkpointsDiscarded,
+                          (unsigned long long)expect_discarded);
 
         auto want = expected_bank.snapshot();
         auto got = recovered.snapshot();
         if (want.size() != got.size())
-            return fmt("recovered bank has %zu estimator slots, prefix "
-                       "replay has %zu",
-                       got.size(), want.size());
+            return format("recovered bank has %zu estimator slots, prefix "
+                          "replay has %zu",
+                          got.size(), want.size());
         for (size_t i = 0; i < want.size(); ++i) {
             if (!(want[i] == got[i]))
-                return fmt("slot %zu (mote %u, proc %u) diverges from the "
-                           "prefix replay (count %llu vs %llu)",
-                           i, unsigned(want[i].mote),
-                           unsigned(want[i].proc),
-                           (unsigned long long)want[i].state.count,
-                           (unsigned long long)got[i].state.count);
+                return format("slot %zu (mote %u, proc %u) diverges from the "
+                              "prefix replay (count %llu vs %llu)",
+                              i, unsigned(want[i].mote),
+                              unsigned(want[i].proc),
+                              (unsigned long long)want[i].state.count,
+                              (unsigned long long)got[i].state.count);
         }
         return std::nullopt;
     }();
@@ -757,14 +749,14 @@ shrinkArqScenario(const ArqScenario &s)
 std::string
 showArqScenario(const ArqScenario &s)
 {
-    return fmt("{traceSeed=0x%llx channelSeed=0x%llx records=%zu mtu=%zu "
-               "drop=%.2f dup=%.2f reorder=%zu flip=%.2f burst=%d "
-               "ackDrop=%.2f}",
-               (unsigned long long)s.traceSeed,
-               (unsigned long long)s.channelSeed, s.records, s.mtu,
-               s.channel.dropRate, s.channel.duplicateRate,
-               s.channel.reorderWindow, s.channel.bitFlipRate,
-               int(s.channel.burstLoss), s.channel.ackDropRate);
+    return format("{traceSeed=0x%llx channelSeed=0x%llx records=%zu mtu=%zu "
+                  "drop=%.2f dup=%.2f reorder=%zu flip=%.2f burst=%d "
+                  "ackDrop=%.2f}",
+                  (unsigned long long)s.traceSeed,
+                  (unsigned long long)s.channelSeed, s.records, s.mtu,
+                  s.channel.dropRate, s.channel.duplicateRate,
+                  s.channel.reorderWindow, s.channel.bitFlipRate,
+                  int(s.channel.burstLoss), s.channel.ackDropRate);
 }
 
 namespace {
@@ -809,9 +801,9 @@ causalAgreementCore(
     double analytic = engine.baselineCyclesPerEvent();
     double tol = 1e-6 * std::max(1.0, empirical);
     if (std::abs(analytic - empirical) > tol) {
-        return fmt("baseline identity: analytic %.9g vs simulated %.9g "
-                   "cycles/event",
-                   analytic, empirical);
+        return format("baseline identity: analytic %.9g vs simulated %.9g "
+                      "cycles/event",
+                      analytic, empirical);
     }
 
     for (ir::ProcId p = 0; p < module.procedureCount(); ++p) {
@@ -822,25 +814,25 @@ causalAgreementCore(
         auto counter = run_with(std::move(zero));
         if (counter.branches.executed != base.branches.executed ||
             counter.instructions != base.instructions) {
-            return fmt("proc '%s': counterfactual run diverged from "
-                       "baseline control flow",
-                       module.procedure(p).name().c_str());
+            return format("proc '%s': counterfactual run diverged from "
+                          "baseline control flow",
+                          module.procedure(p).name().c_str());
         }
         double zeroed = double(counter.procCycles[entry]) / events;
         double sim_delta = empirical - zeroed;
         double ana_delta = analytic - engine.whatIf(p, 1.0);
         if (std::abs(sim_delta - ana_delta) > tol) {
-            return fmt("proc '%s': analytic whatIf(1.0) delta %.9g vs "
-                       "re-simulated %.9g cycles/event",
-                       module.procedure(p).name().c_str(), ana_delta,
-                       sim_delta);
+            return format("proc '%s': analytic whatIf(1.0) delta %.9g vs "
+                          "re-simulated %.9g cycles/event",
+                          module.procedure(p).name().c_str(), ana_delta,
+                          sim_delta);
         }
         double half_delta = analytic - engine.whatIf(p, 0.5);
         if (std::abs(half_delta - 0.5 * ana_delta) > tol) {
-            return fmt("proc '%s': dial not linear: whatIf(0.5) recovers "
-                       "%.9g, expected %.9g",
-                       module.procedure(p).name().c_str(), half_delta,
-                       0.5 * ana_delta);
+            return format("proc '%s': dial not linear: whatIf(0.5) recovers "
+                          "%.9g, expected %.9g",
+                          module.procedure(p).name().c_str(), half_delta,
+                          0.5 * ana_delta);
         }
     }
     return std::nullopt;
@@ -916,8 +908,8 @@ pipelineJobsInvarianceOracle(const std::string &workload_name, uint64_t seed,
         }
     }
     if (!d.same())
-        return fmt("jobs=1 vs jobs=%zu on '%s': ", jobs,
-                   workload_name.c_str()) +
+        return format("jobs=1 vs jobs=%zu on '%s': ", jobs,
+                      workload_name.c_str()) +
                d.why();
     return std::nullopt;
 }
@@ -971,9 +963,9 @@ fleetJobsInvarianceOracle(const std::string &workload_name, uint64_t seed,
         }
     }
     if (!d.same())
-        return fmt("fleet 1 shard at jobs=1 vs %zu shards at jobs=%zu on "
-                   "'%s': ",
-                   jobs, jobs, workload_name.c_str()) +
+        return format("fleet 1 shard at jobs=1 vs %zu shards at jobs=%zu on "
+                      "'%s': ",
+                      jobs, jobs, workload_name.c_str()) +
                d.why();
     return std::nullopt;
 }

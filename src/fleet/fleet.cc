@@ -110,8 +110,8 @@ ShardedCollector::ShardedCollector(
             collector.storeDir =
                 (fs::path(config_.storeDir) / shardDirName(shard)).string();
             collector.store = config_.store;
-            collector.store.metricsScope = config_.metricsScope + "shard." +
-                                           std::to_string(shard) + ".store.";
+            collector.store.metricsScope =
+                "fleet.shard." + std::to_string(shard) + ".store.";
         }
         shards_.push_back(std::make_unique<Shard>(
             module, lowered, costs, policy, cycles_per_tick, collector,
@@ -372,36 +372,35 @@ runShardedFleet(const workloads::Workload &workload,
     sim_config.timingProbes = true;
 
     ShardLayout layout(config.collector.shards);
-    obs::StopwatchUs build_watch;
-    FrameArena arena;
-    arena.groups.resize(layout.shards());
-    if (!lossy)
-        arena = buildArena(workload, lowered, sim_config, config,
-                           layout.shards(), [&](size_t, uint16_t wire) {
-                               return layout.shardOf(wire);
-                           });
-
-    auto sharded_owner = std::make_unique<ShardedCollector>(
-        *workload.module, lowered, sim_config.costs, sim_config.policy,
-        config.cyclesPerTick, config.collector, config.estimator,
-        sim::nestedProbeCycles(sim_config.costs));
-    ShardedCollector &sharded = *sharded_owner;
-
     ShardedFleetResult result;
-    result.buildSeconds = double(build_watch.elapsedUs()) / 1e6;
+    FrameArena arena;
+    std::unique_ptr<ShardedCollector> sharded_owner;
+    {
+        obs::Span build("fleet.build");
+        arena.groups.resize(layout.shards());
+        if (!lossy)
+            arena = buildArena(workload, lowered, sim_config, config,
+                               layout.shards(), [&](size_t, uint16_t wire) {
+                                   return layout.shardOf(wire);
+                               });
+        sharded_owner = std::make_unique<ShardedCollector>(
+            *workload.module, lowered, sim_config.costs, sim_config.policy,
+            config.cyclesPerTick, config.collector, config.estimator,
+            sim::nestedProbeCycles(sim_config.costs));
+        result.buildSeconds = double(build.elapsedUs()) / 1e6;
+    }
+    ShardedCollector &sharded = *sharded_owner;
     result.motes.resize(lossy ? config.motes : 0);
 
     // The measured region: per-shard streams fan out over the pool,
     // each worker ingesting whole shards (round-robin static
     // assignment, exec/thread_pool.hh), so shard locks never contend
     // and a lossy mote's transfer talks to its shard's sink directly.
-    obs::StopwatchUs ingest_watch;
     std::vector<ExactHistogram> latencies(layout.shards());
-    exec::ThreadPool pool(config.jobs);
-    result.shards = exec::parallelMap(pool, layout.shards(), [&](size_t s) {
+    auto ingest_shard = [&](size_t s) {
+        obs::Span shard_ingest("fleet.shard_ingest");
         ShardOutcome out;
         out.shard = s;
-        int64_t shard_start = obs::monotonicMicros();
         auto timed = [&](uint16_t wire, auto &&transfer) {
             int64_t mote_start = monotonicNanos();
             transfer();
@@ -430,7 +429,7 @@ runShardedFleet(const workloads::Workload &workload,
                 }
             });
         }
-        out.ingestUs = obs::monotonicMicros() - shard_start;
+        out.ingestUs = shard_ingest.elapsedUs();
         out.frames = sharded.collector(s).stats().framesOffered;
         out.records = sharded.collector(s).stats().recordsDelivered;
         out.estimators = sharded.bank(s).estimatorCount();
@@ -440,8 +439,13 @@ runShardedFleet(const workloads::Workload &workload,
             out.p99IngestNs = latencies[s].percentile(0.99);
         }
         return out;
-    });
-    result.ingestSeconds = double(ingest_watch.elapsedUs()) / 1e6;
+    };
+    {
+        obs::Span ingest("fleet.ingest");
+        exec::ThreadPool pool(config.jobs);
+        result.shards = exec::parallelMap(pool, layout.shards(), ingest_shard);
+        result.ingestSeconds = double(ingest.elapsedUs()) / 1e6;
+    }
 
     for (const auto &shard : result.shards) {
         result.totalFrames += shard.frames;
@@ -467,22 +471,19 @@ runShardedFleet(const workloads::Workload &workload,
 
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();
-        const std::string &scope = config.collector.metricsScope;
-        m.counter(scope + "frames_offered").add(result.totalFrames);
-        m.counter(scope + "records_delivered").add(result.totalRecords);
-        m.counter(scope + "motes_ingested").add(result.totalMotes);
-        m.gauge(scope + "shards").set(double(layout.shards()));
+        m.counter("fleet.frames_offered").add(result.totalFrames);
+        m.counter("fleet.records_delivered").add(result.totalRecords);
+        m.counter("fleet.motes_ingested").add(result.totalMotes);
+        m.gauge("fleet.shards").set(double(layout.shards()));
         ExactHistogram campaign;
         for (const auto &hist : latencies)
             campaign.merge(hist);
         if (campaign.total() > 0) {
-            m.gauge(scope + "ingest.p50_ns")
+            m.gauge("fleet.ingest.p50_ns")
                 .set(double(campaign.percentile(0.50)));
-            m.gauge(scope + "ingest.p99_ns")
+            m.gauge("fleet.ingest.p99_ns")
                 .set(double(campaign.percentile(0.99)));
         }
-        for (const auto &shard : result.shards)
-            m.histogram(scope + "shard_ingest_us").record(shard.ingestUs);
         if (lossy) {
             // Each mote's link, then the shards' sinks, under the names
             // the pipeline's transport stage uses.
@@ -515,28 +516,17 @@ estimateFromSlots(const ir::Module &module, const sim::LoweredModule &lowered,
     for (const auto &slot : slots)
         collapsed.mergeSlot(0, slot.proc, slot.state);
 
-    tomography::ModuleEstimate out;
-    out.profile.resize(module.procedureCount());
-    out.thetas.resize(module.procedureCount());
-    out.results.resize(module.procedureCount());
-    out.meanCycles.assign(module.procedureCount(), 0.0);
-    out.varCycles.assign(module.procedureCount(), 0.0);
-    for (ir::ProcId id : tomography::bottomUpOrder(module)) {
-        const auto &proc = module.procedure(id);
-        tomography::TimingModel model(proc, lowered.procs[id], costs, policy,
-                                      cycles_per_tick, out.meanCycles,
-                                      nested_probe_cycles, out.varCycles);
-        auto theta = collapsed.theta(0, id);
-        if (theta.empty())
-            theta.assign(model.paramCount(), 0.5);
-        CT_ASSERT(theta.size() == model.paramCount(),
-                  "slot theta arity does not match the module");
-        out.thetas[id] = theta;
-        out.meanCycles[id] = model.meanCycles(theta);
-        out.varCycles[id] = model.varianceCycles(theta);
-        out.profile[id] = model.profileFor(theta);
-    }
-    return out;
+    return tomography::estimateBottomUp(
+        module, lowered, costs, policy, cycles_per_tick, nested_probe_cycles,
+        [&](ir::ProcId id, const tomography::TimingModel &model,
+            tomography::EstimateResult &) {
+            auto theta = collapsed.theta(0, id);
+            if (theta.empty())
+                theta.assign(model.paramCount(), 0.5);
+            CT_ASSERT(theta.size() == model.paramCount(),
+                      "slot theta arity does not match the module");
+            return theta;
+        });
 }
 
 std::vector<ShardPlan>
@@ -548,7 +538,6 @@ planShardBudgets(const ir::Module &module, const sim::LoweredModule &current,
     CT_SPAN("fleet.plan");
     CT_ASSERT(!config.classes.empty(),
               "planShardBudgets: at least one mote class required");
-    obs::StopwatchUs stopwatch;
 
     // Each worker plans whole shards into indexed slots; everything a
     // plan depends on (the shard's slots, the class budget) is data,
@@ -595,7 +584,6 @@ planShardBudgets(const ir::Module &module, const sim::LoweredModule &current,
         }
         m.counter("fleet.plan_upgrades").add(upgrades);
         m.counter("fleet.plan_deferred").add(deferred);
-        m.histogram("fleet.plan_us").record(stopwatch.elapsedUs());
     }
     return plans;
 }

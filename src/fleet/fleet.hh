@@ -95,7 +95,7 @@ struct ShardedCollectorConfig
      */
     std::string storeDir;
     /** Per-shard durability knobs. metricsScope is derived per shard
-     *  (`<metricsScope>shard.N.store.`); the value here is ignored. */
+     *  (`fleet.shard.N.store.`); the value here is ignored. */
     store::StoreConfig store;
     /** Replay each shard's recovered store into its bank on open. */
     bool resumeFromStore = true;
@@ -104,8 +104,6 @@ struct ShardedCollectorConfig
     /** Keep reassembled per-mote traces (off: fleet-scale footprint;
      *  see net::CollectorConfig::retainTraces). */
     bool retainTraces = false;
-    /** Prefix for this pipeline's obs metrics. */
-    std::string metricsScope = "fleet.";
 };
 
 /**
@@ -204,13 +202,15 @@ std::vector<std::string> shardStoreDirs(const std::string &root);
 uint64_t snapshotDigest(const std::vector<store::EstimatorSlot> &slots);
 
 /**
- * Rebuild a module estimate from raw estimator slots: collapse the
- * per-(mote, proc) states onto one pseudo-mote with the count-weighted
- * blend, then walk procedures bottom-up re-deriving thetas, per-proc
- * timing, and the synthetic edge profile — the same reconstruction the
- * single-mote pipeline performs from its own bank. Shared by
- * relay::estimateFromSnapshot (a snapshot is slots plus provenance)
- * and the per-shard budget planner below.
+ * Rebuild a placement-ready module estimate from raw estimator slots
+ * alone — no trace, no WAL replay: collapse the per-(mote, proc)
+ * states onto one pseudo-mote with the count-weighted blend (exact for
+ * one mote), then re-derive thetas, per-proc timing and the synthetic
+ * edge profile with tomography::estimateBottomUp. Procedures absent
+ * from @p slots keep the agnostic prior, as in
+ * tomography::estimateModule on an empty trace. Serves a shipped
+ * relay snapshot (pass its `slots`), the PGO tracking estimate and
+ * the per-shard budget planner below.
  */
 tomography::ModuleEstimate estimateFromSlots(
     const ir::Module &module, const sim::LoweredModule &lowered,
@@ -323,7 +323,8 @@ struct ShardOutcome
     /** Per-mote transfer ingest latency over this shard's motes. */
     int64_t p50IngestNs = 0;
     int64_t p99IngestNs = 0;
-    /** Wall time this shard's ingest loop ran (its motes, serially). */
+    /** Wall time this shard's ingest loop ran (its motes, serially;
+     *  span `fleet.shard_ingest`). */
     int64_t ingestUs = 0;
     size_t estimators = 0;
     uint64_t estObservations = 0;
@@ -355,9 +356,10 @@ struct ShardedFleetResult
      *  shard counts for a fixed (workload, motes, seed, ...). */
     uint64_t mergedDigest = 0;
     size_t estimators = 0;
-    double buildSeconds = 0.0;  //!< frame-arena construction (untimed
-                                //!< region of the benchmark)
-    double ingestSeconds = 0.0; //!< the measured fan-out
+    /** Frame-arena and collector construction (span `fleet.build`;
+     *  the untimed region of the benchmark). */
+    double buildSeconds = 0.0;
+    double ingestSeconds = 0.0; //!< the measured fan-out (`fleet.ingest`)
     /// @name Sums over `shards`
     /// @{
     uint64_t totalFrames = 0;

@@ -267,19 +267,6 @@ void setMetricsEnabled(bool on);
 /** Value of CT_METRICS_OUT, or "" when unset. */
 std::string metricsOutPathFromEnv();
 
-/** Microsecond stopwatch for latency metrics. */
-class StopwatchUs
-{
-  public:
-    StopwatchUs() : start_(monotonicMicros()) {}
-
-    int64_t elapsedUs() const { return monotonicMicros() - start_; }
-    void restart() { start_ = monotonicMicros(); }
-
-  private:
-    int64_t start_;
-};
-
 } // namespace ct::obs
 
 #endif // CT_OBS_METRICS_HH

@@ -51,14 +51,13 @@ SpanTracer::originFor(int64_t now)
 }
 
 size_t
-SpanTracer::beginSpan(const char *name)
+SpanTracer::beginSpan(const char *name, int64_t now_us)
 {
-    int64_t now = monotonicMicros();
-    int64_t origin = originFor(now);
+    int64_t origin = originFor(now_us);
     ThreadBuffer &buf = localBuffer();
     Event event;
     event.name = name;
-    event.beginUs = now - origin;
+    event.beginUs = now_us - origin;
     event.depth = buf.depth++;
     event.tid = buf.tid;
     buf.events.push_back(std::move(event));
@@ -66,14 +65,14 @@ SpanTracer::beginSpan(const char *name)
 }
 
 void
-SpanTracer::endSpan(size_t index)
+SpanTracer::endSpan(size_t index, int64_t now_us)
 {
     ThreadBuffer &buf = localBuffer();
     CT_ASSERT(index < buf.events.size(), "endSpan: bad span index");
     Event &event = buf.events[index];
     CT_ASSERT(event.open, "endSpan: span already closed");
-    event.durUs = monotonicMicros() -
-                  originUs_.load(std::memory_order_relaxed) - event.beginUs;
+    event.durUs =
+        now_us - originUs_.load(std::memory_order_relaxed) - event.beginUs;
     event.open = false;
     --buf.depth;
 }
@@ -154,6 +153,17 @@ SpanTracer::writeJson(const std::string &path) const
     if (!out)
         fatal("cannot open trace output '", path, "'");
     out << toJson() << "\n";
+}
+
+void
+Span::close()
+{
+    int64_t end_us = monotonicMicros();
+    if (traced_)
+        tracer().endSpan(index_, end_us);
+    if (metered_)
+        metrics().histogram(std::string(name_) + "_us")
+            .record(end_us - startUs_);
 }
 
 SpanTracer &

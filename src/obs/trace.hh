@@ -1,18 +1,26 @@
 /**
  * @file
- * Scoped span tracing with Chrome trace-event output.
+ * Scoped stage timing: one span per stage, exported as Chrome
+ * trace-event JSON and as a latency histogram.
  *
- * `CT_SPAN("pipeline.estimate")` opens a span for the enclosing scope;
- * completed spans are buffered in the process-wide tracer and exported
+ * `CT_SPAN("pipeline.estimate")` times the enclosing scope. The span
+ * reads the clock when it opens. When it closes it ends its trace
+ * event if the tracer is on, and records its duration into the
+ * histogram `<name>_us` (e.g. `pipeline.estimate_us`) if metrics are
+ * on (obs/metrics.hh); both choices are made when it opens. A span is
+ * the only stage timer in the library: callers that keep a duration
+ * in a result struct read it from Span::elapsedUs() of a named span.
+ * With both off a span costs one clock read and two relaxed flag
+ * loads, so spans stay on stage and per-call boundaries, never inside
+ * per-record or per-instruction loops.
+ *
+ * Completed spans are buffered in the process-wide tracer and exported
  * as Chrome trace-event JSON ("X" complete events), loadable in
- * chrome://tracing or https://ui.perfetto.dev. When the tracer is
- * disabled (the default) a span is one inlined bool test — cheap
- * enough to leave in hot-ish code permanently.
- *
- * The tracer auto-enables on first use when CT_TRACE_OUT is set in the
- * environment; TomographyPipeline writes the buffer there at the end
- * of a run (see api/pipeline.hh), and any caller can flush manually
- * with tracer().writeJson(path).
+ * chrome://tracing or https://ui.perfetto.dev. The tracer auto-enables
+ * on first use when CT_TRACE_OUT is set in the environment;
+ * TomographyPipeline writes the buffer there at the end of a run (see
+ * api/pipeline.hh), and any caller can flush manually with
+ * tracer().writeJson(path).
  *
  * Span names follow the metric naming scheme: `<subsystem>.<verb>`,
  * e.g. `pipeline.measure`, `sim.run`.
@@ -24,7 +32,8 @@
  * begin-ordered snapshot across all threads, and toJson() emits each
  * thread's spans under its own `tid`. Exports and clear() must not
  * race with threads actively inside spans — quiesce (join the pool)
- * first, as every caller in this codebase does.
+ * first, as every caller in this codebase does. Histogram recording
+ * is thread-safe (see obs/metrics.hh).
  */
 
 #ifndef CT_OBS_TRACE_HH
@@ -36,6 +45,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.hh"
 
 namespace ct::obs {
 
@@ -61,12 +72,13 @@ class SpanTracer
     }
 
     /**
-     * Open a span on the calling thread; returns its index for the
-     * matching endSpan() (same thread). Usually reached via the Span
-     * RAII wrapper, not called directly.
+     * Open a span on the calling thread at @p now_us (monotonicMicros
+     * time); returns its index for the matching endSpan() (same
+     * thread). Usually reached via the Span RAII wrapper, not called
+     * directly.
      */
-    size_t beginSpan(const char *name);
-    void endSpan(size_t index);
+    size_t beginSpan(const char *name, int64_t now_us = monotonicMicros());
+    void endSpan(size_t index, int64_t now_us = monotonicMicros());
 
     /** Completed + open spans across all threads. */
     size_t eventCount() const;
@@ -115,35 +127,47 @@ SpanTracer &tracer();
 /** Value of CT_TRACE_OUT, or "" when unset. */
 std::string traceOutPathFromEnv();
 
-/** RAII span: begins at construction, ends at scope exit. */
+/**
+ * RAII stage timer: opens at construction, closes at scope exit (see
+ * the file comment for what closing records). @p name must outlive the
+ * span; CT_SPAN passes a string literal.
+ */
 class Span
 {
   public:
     explicit Span(const char *name)
+        : name_(name), startUs_(monotonicMicros()),
+          traced_(tracer().enabled()), metered_(metricsEnabled())
     {
-        if (tracer().enabled()) {
-            index_ = tracer().beginSpan(name);
-            active_ = true;
-        }
+        if (traced_)
+            index_ = tracer().beginSpan(name, startUs_);
     }
     ~Span()
     {
-        if (active_)
-            tracer().endSpan(index_);
+        if (traced_ || metered_)
+            close();
     }
+
+    /** Microseconds since the span opened. */
+    int64_t elapsedUs() const { return monotonicMicros() - startUs_; }
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
   private:
+    void close();
+
+    const char *name_;
+    int64_t startUs_;
     size_t index_ = 0;
-    bool active_ = false;
+    bool traced_;
+    bool metered_;
 };
 
 #define CT_OBS_CONCAT2(a, b) a##b
 #define CT_OBS_CONCAT(a, b) CT_OBS_CONCAT2(a, b)
 
-/** Trace the enclosing scope as one span named @p name. */
+/** Time the enclosing scope as one span named @p name. */
 #define CT_SPAN(name)                                                         \
     ::ct::obs::Span CT_OBS_CONCAT(ct_obs_span_, __LINE__)(name)
 

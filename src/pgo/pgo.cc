@@ -1,17 +1,14 @@
 #include "pgo/pgo.hh"
 
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 
 #include "causal/causal.hh"
 #include "exec/thread_pool.hh"
+#include "fleet/fleet.hh"
 #include "layout/placement.hh"
 #include "net/collector.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "relay/relay.hh"
-#include "relay/snapshot.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 #include "workloads/campaign.hh"
@@ -22,17 +19,6 @@ namespace {
 
 /** The one instrumented mote feeding the tracking bank. */
 constexpr uint16_t kProbeMote = 1;
-
-std::string
-fmtLine(const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof buf, fmt, args);
-    va_end(args);
-    return buf;
-}
 
 } // namespace
 
@@ -201,7 +187,7 @@ ContinuousPgo::run()
             report.driftStat = stat;
             report.triggered = detector.step(stat);
 
-            result.decisionLog += fmtLine(
+            result.decisionLog += format(
                 "w=%03zu r=%zu drift=%.6f mr=%.6f live=%llu oracle=%llu "
                 "regret=%lld cum=%lld trig=%d\n",
                 window, r, stat, report.mispredictRate,
@@ -223,12 +209,10 @@ ContinuousPgo::run()
                 // (2) Re-placement, gated by the causal ranking over
                 // the *current* layout: only procedures whose whatIf
                 // delta clears the gate are worth re-placing.
-                auto snapshot = relay::snapshotFromBank(
-                    bank, /*id=*/window, /*source_node=*/0);
-                auto tracking = relay::estimateFromSnapshot(
+                auto tracking = fleet::estimateFromSlots(
                     module, lowered_natural, costs, policy,
                     config_.sim.cyclesPerTick, nested_probe_cycles,
-                    config_.estimatorOptions, snapshot);
+                    config_.estimatorOptions, bank.snapshot());
                 auto tracking_theta =
                     causal::normalizeTheta(module, tracking.thetas);
                 causal::Engine engine(module, lowered_current, costs,
@@ -272,7 +256,7 @@ ContinuousPgo::run()
                     result.budgetDeferred += plan.deferred;
                     result.budgetFlashBytes +=
                         plan.assignment.usage.flashBytes;
-                    result.decisionLog += fmtLine(
+                    result.decisionLog += format(
                         "budget w=%03zu solver=%s up=%zu defer=%zu "
                         "flash=%llu ram=%llu nrg=%llu\n",
                         window, plan.solver.c_str(), plan.upgrades,
@@ -322,7 +306,7 @@ ContinuousPgo::run()
                     report.swapped = true;
                 }
 
-                result.decisionLog += fmtLine(
+                result.decisionLog += format(
                     "trigger w=%03zu stat=%.6f drifted=%s gate=%s "
                     "swap=%d digest=%016llx\n",
                     window, stat, ("[" + join(drifted, ",") + "]").c_str(),

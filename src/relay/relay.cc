@@ -1,6 +1,5 @@
 #include "relay/relay.hh"
 
-#include "fleet/fleet.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
@@ -98,50 +97,28 @@ void
 adoptIntoBank(const Snapshot &snapshot, net::EstimatorBank &bank)
 {
     CT_SPAN("relay.adopt");
-    obs::StopwatchUs watch;
     for (const auto &slot : snapshot.slots)
         bank.restoreSlot(slot.mote, slot.proc, slot.state);
-    if (obs::metricsEnabled()) {
-        obs::metrics().histogram("relay.adopt_us").record(watch.elapsedUs());
+    if (obs::metricsEnabled())
         obs::metrics().counter("relay.slots_adopted").add(
             snapshot.slots.size());
-    }
 }
 
 void
 mergeIntoBank(const Snapshot &snapshot, net::EstimatorBank &bank)
 {
     CT_SPAN("relay.merge");
-    obs::StopwatchUs watch;
     for (const auto &slot : snapshot.slots)
         bank.mergeSlot(slot.mote, slot.proc, slot.state);
-    if (obs::metricsEnabled()) {
-        obs::metrics().histogram("relay.merge_us").record(watch.elapsedUs());
+    if (obs::metricsEnabled())
         obs::metrics().counter("relay.slots_merged").add(
             snapshot.slots.size());
-    }
 }
 
 void
 adoptIntoStore(const Snapshot &snapshot, store::Store &store)
 {
     store.writeCheckpoint(snapshot.slots);
-}
-
-tomography::ModuleEstimate
-estimateFromSnapshot(const ir::Module &module,
-                     const sim::LoweredModule &lowered,
-                     const sim::CostModel &costs, sim::PredictPolicy policy,
-                     uint64_t cycles_per_tick, double nested_probe_cycles,
-                     const tomography::EstimatorOptions &options,
-                     const Snapshot &snapshot)
-{
-    CT_SPAN("relay.estimate");
-    // A snapshot is estimator slots plus provenance; the collapse and
-    // bottom-up reconstruction live with the other snapshot consumers.
-    return fleet::estimateFromSlots(module, lowered, costs, policy,
-                                    cycles_per_tick, nested_probe_cycles,
-                                    options, snapshot.slots);
 }
 
 } // namespace ct::relay

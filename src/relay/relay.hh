@@ -34,7 +34,6 @@
 #include "net/channel.hh"
 #include "net/uplink.hh"
 #include "relay/snapshot.hh"
-#include "tomography/estimator.hh"
 
 namespace ct::relay {
 
@@ -118,23 +117,6 @@ void mergeIntoBank(const Snapshot &snapshot, net::EstimatorBank &bank);
  */
 void adoptIntoStore(const Snapshot &snapshot, store::Store &store);
 /// @}
-
-/**
- * Derive a placement-ready module estimate from a shipped snapshot
- * alone — no trace, no WAL replay. Per procedure, every mote's
- * streaming state is folded into one estimate (exact for one mote,
- * the count-weighted blend across motes), and theta feeds the same
- * TimingModel::profileFor conversion the batch estimators use; procs
- * absent from the snapshot keep the agnostic prior, mirroring
- * tomography::estimateModule on an empty trace.
- */
-tomography::ModuleEstimate
-estimateFromSnapshot(const ir::Module &module,
-                     const sim::LoweredModule &lowered,
-                     const sim::CostModel &costs, sim::PredictPolicy policy,
-                     uint64_t cycles_per_tick, double nested_probe_cycles,
-                     const tomography::EstimatorOptions &options,
-                     const Snapshot &snapshot);
 
 } // namespace ct::relay
 

@@ -146,27 +146,28 @@ runRelayTree(const workloads::Workload &workload,
     // workers never share mutable state. Frames arrive loss-free at
     // the leaves (the sink hears its own motes directly, as in the
     // fleet arena); the lossy links are the relay hops above.
-    obs::StopwatchUs ingest_watch;
-    auto leaf_records =
-        exec::parallelMap(pool, leaf_nodes.size(), [&](size_t j) {
-            net::CollectorConfig collector_config;
-            collector_config.retainTraces = false;
-            net::SinkCollector collector(collector_config);
-            collector.setRecordSink(banks[leaf_nodes[j]].sink());
-            return ingestPlans(arena, arena.groups[j], collector);
-        });
-    result.ingestSeconds = double(ingest_watch.elapsedUs()) / 1e6;
-    for (uint64_t records : leaf_records)
-        result.records += records;
+    {
+        obs::Span ingest("relay.ingest");
+        auto leaf_records =
+            exec::parallelMap(pool, leaf_nodes.size(), [&](size_t j) {
+                net::CollectorConfig collector_config;
+                collector_config.retainTraces = false;
+                net::SinkCollector collector(collector_config);
+                collector.setRecordSink(banks[leaf_nodes[j]].sink());
+                return ingestPlans(arena, arena.groups[j], collector);
+            });
+        result.ingestSeconds = double(ingest.elapsedUs()) / 1e6;
+        for (uint64_t records : leaf_records)
+            result.records += records;
+    }
 
     // Bottom-up aggregation, one level at a time. Parents of a level
     // fan out over the pool; each parent folds its children serially
     // in ascending node-id order, and per-link channel seeds depend
     // only on (campaign seed, child id) — any jobs count reproduces
     // the same shipping schedule and the same root digest.
-    obs::StopwatchUs aggregate_watch;
     std::vector<LinkOutcome> links(tree.nodes());
-    for (size_t level = tree.depth(); level >= 1; --level) {
+    auto aggregate_level = [&](size_t level) {
         std::vector<size_t> parents;
         for (size_t node = 0; node < tree.nodes(); ++node) {
             if (!tree.isLeaf(node) && tree.depthOf(node) == level - 1)
@@ -185,16 +186,18 @@ runRelayTree(const workloads::Workload &workload,
                 auto received = shipAndReceive(
                     snapshot, config.ship,
                     workloads::linkSeed(config.seed, child), link.ship);
-                if (received) {
-                    obs::StopwatchUs merge_watch;
+                if (received)
                     mergeIntoBank(*received, banks[parent]);
-                    link.mergeUs = merge_watch.elapsedUs();
-                }
             }
             return 0;
         });
+    };
+    {
+        obs::Span aggregate("relay.aggregate");
+        for (size_t level = tree.depth(); level >= 1; --level)
+            aggregate_level(level);
+        result.aggregateSeconds = double(aggregate.elapsedUs()) / 1e6;
     }
-    result.aggregateSeconds = double(aggregate_watch.elapsedUs()) / 1e6;
 
     result.links.reserve(tree.nodes() > 0 ? tree.nodes() - 1 : 0);
     for (size_t child = 1; child < tree.nodes(); ++child) {
@@ -235,8 +238,6 @@ runRelayTree(const workloads::Workload &workload,
         m.gauge("relay.tree.nodes").set(double(tree.nodes()));
         m.gauge("relay.tree.depth").set(double(tree.depth()));
         m.gauge("relay.tree.leaves").set(double(result.leafCount));
-        for (const auto &link : result.links)
-            m.histogram("relay.link_merge_us").record(link.mergeUs);
     }
     return result;
 }

@@ -130,8 +130,6 @@ struct LinkOutcome
     /** Estimator slots the child shipped upward. */
     size_t slots = 0;
     ShipOutcome ship;
-    /** Parent-side merge latency (mergeIntoBank). */
-    int64_t mergeUs = 0;
 };
 
 /** Campaign result: per-link detail plus the invariant's two sides. */
@@ -159,8 +157,9 @@ struct RelayTreeResult
      *  would put on the wire *per level*; the snapshot-vs-WAL-shipping
      *  baseline in bench_relay (E16). */
     uint64_t ingestFrameBytes = 0;
-    double ingestSeconds = 0.0; //!< leaf ingest (fan-out, measured)
-    double aggregateSeconds = 0.0; //!< bottom-up shipping + merging
+    double ingestSeconds = 0.0; //!< leaf ingest (span `relay.ingest`)
+    /** Bottom-up shipping + merging (span `relay.aggregate`). */
+    double aggregateSeconds = 0.0;
     /// @name Sums over `links`
     /// @{
     uint64_t totalFragmentsSent = 0;

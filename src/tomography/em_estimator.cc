@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "tomography/path_workspace.hh"
 #include "util/logging.hh"
 
@@ -136,11 +137,11 @@ EstimateResult
 EmPathEstimator::estimate(const TimingModel &model,
                           const std::vector<int64_t> &durations) const
 {
-    obs::StopwatchUs watch;
     EstimateResult result;
     result.theta.assign(model.paramCount(), 0.5);
     if (model.paramCount() == 0)
         return result;
+    CT_SPAN("tomography.em.solve");
 
     // Phase 1: enumerate under the agnostic prior, run EM.
     auto ws = PathWorkspace::build(model, durations, options_, result.theta);
@@ -169,7 +170,6 @@ EmPathEstimator::estimate(const TimingModel &model,
         auto &m = obs::metrics();
         m.counter("tomography.em.solves").add(1);
         m.counter("tomography.em.iterations").add(result.iterations);
-        m.histogram("tomography.em.solve_us").record(watch.elapsedUs());
         m.series("tomography.em.final_log_likelihood")
             .append(result.logLikelihood);
         m.series("tomography.em.aliased_mass").append(result.aliasedMass);

@@ -81,10 +81,10 @@ extractFeatures(const TimingModel &model, const markov::Path &path)
 }
 
 ModuleEstimate
-estimateModule(const ir::Module &module, const sim::LoweredModule &lowered,
-               const sim::CostModel &costs, sim::PredictPolicy policy,
-               uint64_t cycles_per_tick, double nested_probe_cycles,
-               const trace::TimingTrace &trace, const Estimator &estimator)
+estimateBottomUp(const ir::Module &module, const sim::LoweredModule &lowered,
+                 const sim::CostModel &costs, sim::PredictPolicy policy,
+                 uint64_t cycles_per_tick, double nested_probe_cycles,
+                 const ThetaSource &theta_for)
 {
     ModuleEstimate out;
     out.profile.resize(module.procedureCount());
@@ -97,23 +97,31 @@ estimateModule(const ir::Module &module, const sim::LoweredModule &lowered,
         TimingModel model(proc, lowered.procs[id], costs, policy,
                           cycles_per_tick, out.meanCycles,
                           nested_probe_cycles, out.varCycles);
-
-        std::vector<double> theta(model.paramCount(), 0.5);
-        auto durations = trace.durations(id);
-        if (!durations.empty() && model.paramCount() > 0) {
-            out.results[id] = estimator.estimate(model, durations);
-            theta = out.results[id].theta;
-        } else if (!durations.empty()) {
-            // Branch-free procedure: nothing to estimate.
-            out.results[id] = EstimateResult{};
-        }
-
+        auto theta = theta_for(id, model, out.results[id]);
         out.thetas[id] = theta;
         out.meanCycles[id] = model.meanCycles(theta);
         out.varCycles[id] = model.varianceCycles(theta);
         out.profile[id] = model.profileFor(theta);
     }
     return out;
+}
+
+ModuleEstimate
+estimateModule(const ir::Module &module, const sim::LoweredModule &lowered,
+               const sim::CostModel &costs, sim::PredictPolicy policy,
+               uint64_t cycles_per_tick, double nested_probe_cycles,
+               const trace::TimingTrace &trace, const Estimator &estimator)
+{
+    return estimateBottomUp(
+        module, lowered, costs, policy, cycles_per_tick, nested_probe_cycles,
+        [&](ir::ProcId id, const TimingModel &model, EstimateResult &result) {
+            auto durations = trace.durations(id);
+            // Absent or branch-free: nothing to estimate.
+            if (durations.empty() || model.paramCount() == 0)
+                return std::vector<double>(model.paramCount(), 0.5);
+            result = estimator.estimate(model, durations);
+            return result.theta;
+        });
 }
 
 } // namespace ct::tomography

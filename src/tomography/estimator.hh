@@ -7,6 +7,7 @@
 #ifndef CT_TOMOGRAPHY_ESTIMATOR_HH
 #define CT_TOMOGRAPHY_ESTIMATOR_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,11 +121,33 @@ struct ModuleEstimate
 };
 
 /**
- * Estimate every procedure of @p module bottom-up over the call graph,
- * so caller models can fold in the estimated mean duration of callees.
- * Procedures absent from the trace keep theta = 0.5 everywhere.
+ * Where estimateBottomUp() takes procedure @p id's theta from, given
+ * its timing model; may fill @p result with per-procedure diagnostics.
+ */
+using ThetaSource = std::function<std::vector<double>(
+    ir::ProcId id, const TimingModel &model, EstimateResult &result)>;
+
+/**
+ * The reconstruction every module estimate shares: visit procedures
+ * bottom-up over the call graph, so each TimingModel folds in the mean
+ * and variance already derived for its callees; take theta from
+ * @p theta_for and derive the procedure's moments and edge profile
+ * from it.
  *
  * @param nested_probe_cycles see TimingModel.
+ */
+ModuleEstimate estimateBottomUp(const ir::Module &module,
+                                const sim::LoweredModule &lowered,
+                                const sim::CostModel &costs,
+                                sim::PredictPolicy policy,
+                                uint64_t cycles_per_tick,
+                                double nested_probe_cycles,
+                                const ThetaSource &theta_for);
+
+/**
+ * Estimate every procedure of @p module from @p trace with
+ * @p estimator, bottom-up (estimateBottomUp). Procedures absent from
+ * the trace keep theta = 0.5 everywhere.
  */
 ModuleEstimate estimateModule(const ir::Module &module,
                               const sim::LoweredModule &lowered,

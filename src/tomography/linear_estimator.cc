@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "tomography/path_workspace.hh"
 #include "util/logging.hh"
 
@@ -19,11 +20,11 @@ EstimateResult
 LinearTomographyEstimator::estimate(
     const TimingModel &model, const std::vector<int64_t> &durations) const
 {
-    obs::StopwatchUs watch;
     EstimateResult result;
     result.theta.assign(model.paramCount(), 0.5);
     if (model.paramCount() == 0)
         return result;
+    CT_SPAN("tomography.linear.solve");
 
     std::vector<double> uniform(model.paramCount(), 0.5);
     auto ws = PathWorkspace::build(model, durations, options_, uniform);
@@ -139,7 +140,6 @@ LinearTomographyEstimator::estimate(
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();
         m.counter("tomography.linear.solves").add(1);
-        m.histogram("tomography.linear.solve_us").record(watch.elapsedUs());
         m.series("tomography.linear.reward_classes")
             .append(double(n_classes));
         m.series("tomography.linear.covered_mass")

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "stats/summary.hh"
 #include "tomography/noise_kernel.hh"
 #include "util/logging.hh"
@@ -50,11 +51,11 @@ EstimateResult
 MomentEstimator::estimate(const TimingModel &model,
                           const std::vector<int64_t> &durations) const
 {
-    obs::StopwatchUs watch;
     EstimateResult result;
     result.theta.assign(model.paramCount(), 0.5);
     if (model.paramCount() == 0)
         return result;
+    CT_SPAN("tomography.moment.solve");
 
     // Sample moments in ticks, corrected to cycles.
     OnlineStats stats;
@@ -149,7 +150,6 @@ MomentEstimator::estimate(const TimingModel &model,
         auto &m = obs::metrics();
         m.counter("tomography.moment.solves").add(1);
         m.counter("tomography.moment.iterations").add(total_iters);
-        m.histogram("tomography.moment.solve_us").record(watch.elapsedUs());
         m.series("tomography.moment.objective").append(best_obj);
         // Conditioning of moment matching: the fraction of the observed
         // duration variance that survives the noise-variance subtraction.

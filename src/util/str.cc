@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
@@ -69,6 +70,17 @@ toLower(std::string_view text)
     for (char &c : out)
         c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     return out;
+}
+
+std::string
+format(const char *fmt, ...)
+{
+    char buf[512];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(buf, sizeof buf, fmt, args);
+    va_end(args);
+    return buf;
 }
 
 std::string

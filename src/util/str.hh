@@ -31,6 +31,10 @@ bool endsWith(std::string_view text, std::string_view suffix);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view text);
 
+/** printf into a string; output past 511 characters is truncated. */
+std::string format(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
 /** Format a double with @p digits significant decimals, trimming zeros. */
 std::string formatDouble(double value, int digits = 4);
 

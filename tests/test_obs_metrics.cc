@@ -217,14 +217,6 @@ TEST(ObsMetrics, GlobalEnableToggle)
     obs::setMetricsEnabled(before);
 }
 
-TEST(ObsMetrics, StopwatchIsMonotonic)
-{
-    obs::StopwatchUs watch;
-    EXPECT_GE(watch.elapsedUs(), 0);
-    int64_t first = watch.elapsedUs();
-    EXPECT_GE(watch.elapsedUs(), first);
-}
-
 TEST(ObsMetrics, ConcurrentWritersKeepExactTotals)
 {
     // N threads hammer the same registry through name lookups (the

@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests for the obs span tracer: disabled-by-default behaviour, span
- * nesting, strict validity of the Chrome trace-event JSON, and the
- * end-to-end pipeline integration (all four stage spans present and
- * nested, EM convergence series exported).
+ * Tests for obs spans: disabled-by-default behaviour, the close
+ * contract (trace event when traced, `<name>_us` histogram when
+ * metered), span nesting, strict validity of the Chrome trace-event
+ * JSON, and the end-to-end pipeline integration (all four stage spans
+ * present and nested, one histogram per span name, EM convergence
+ * series exported).
  */
 
 #include <gtest/gtest.h>
@@ -84,9 +86,45 @@ TEST_F(ObsTraceTest, DisabledSpanRecordsNothing)
         CT_SPAN("nor.this");
     }
     EXPECT_EQ(obs::tracer().eventCount(), 0u);
+    EXPECT_TRUE(obs::metrics().empty());
     auto doc = testjson::parseJson(obs::tracer().toJson());
     ASSERT_NE(doc, nullptr);
     EXPECT_TRUE(doc->get("traceEvents")->array.empty());
+}
+
+TEST_F(ObsTraceTest, MeteredSpanRecordsItsHistogramWithoutTracing)
+{
+    obs::setMetricsEnabled(true);
+    {
+        CT_SPAN("metered.stage");
+    }
+    EXPECT_EQ(obs::tracer().eventCount(), 0u);
+    const auto &hists = obs::metrics().histograms();
+    ASSERT_EQ(hists.size(), 1u);
+    ASSERT_EQ(hists.count("metered.stage_us"), 1u);
+    EXPECT_EQ(hists.at("metered.stage_us").count(), 1u);
+    EXPECT_GE(hists.at("metered.stage_us").min(), 0);
+}
+
+TEST_F(ObsTraceTest, TracedSpanRecordsOneEventAndNoMetrics)
+{
+    obs::tracer().setEnabled(true);
+    {
+        CT_SPAN("traced.stage");
+    }
+    auto events = obs::tracer().events();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].name, "traced.stage");
+    EXPECT_FALSE(events[0].open);
+    EXPECT_TRUE(obs::metrics().empty());
+}
+
+TEST_F(ObsTraceTest, SpanElapsedIsMonotonic)
+{
+    obs::Span span("elapsed.stage");
+    int64_t first = span.elapsedUs();
+    EXPECT_GE(first, 0);
+    EXPECT_GE(span.elapsedUs(), first);
 }
 
 TEST_F(ObsTraceTest, SpansNestByScope)
@@ -146,6 +184,7 @@ TEST_F(ObsTraceTest, ClearResetsDepthAndEvents)
 TEST_F(ObsTraceTest, ConcurrentThreadsRecordIndependentlyNestedSpans)
 {
     obs::tracer().setEnabled(true);
+    obs::setMetricsEnabled(true);
     const size_t threads = 4;
     const size_t rounds = 50;
     std::vector<std::thread> workers;
@@ -189,6 +228,11 @@ TEST_F(ObsTraceTest, ConcurrentThreadsRecordIndependentlyNestedSpans)
         EXPECT_EQ(counts.first, rounds) << "tid " << tid;
         EXPECT_EQ(counts.second, rounds) << "tid " << tid;
     }
+    // Every close from every thread reached the histogram.
+    EXPECT_EQ(obs::metrics().histogram("mt.outer_us").count(),
+              threads * rounds);
+    EXPECT_EQ(obs::metrics().histogram("mt.inner_us").count(),
+              threads * rounds);
 
     // The Chrome-trace export stays strictly valid and carries the tid.
     auto doc = testjson::parseJson(obs::tracer().toJson());
@@ -255,6 +299,18 @@ TEST_F(ObsTraceTest, PipelineRunExportsNestedPhaseSpansAndEmSeries)
     auto hists = metrics_doc->get("histograms");
     EXPECT_NE(hists->get("pipeline.measure_us"), nullptr);
     EXPECT_NE(hists->get("tomography.em.solve_us"), nullptr);
+
+    // Each span name in the trace has its `<name>_us` histogram, with
+    // one observation per event.
+    std::map<std::string, size_t> span_counts;
+    for (const auto &event : doc->get("traceEvents")->array)
+        ++span_counts[event->get("name")->string];
+    EXPECT_EQ(span_counts.count("tomography.em.solve"), 1u);
+    for (const auto &[name, count] : span_counts) {
+        auto hist = hists->get(name + "_us");
+        ASSERT_NE(hist, nullptr) << "no histogram for span " << name;
+        EXPECT_EQ(hist->get("count")->number, double(count)) << name;
+    }
 }
 
 TEST_F(ObsTraceTest, PipelineWithoutConfigLeavesObsOff)

@@ -369,10 +369,10 @@ TEST(RelayAdopt, SnapshotOnlyEstimateCoversEveryProcedure)
 {
     const auto &sh = shared();
     auto snapshot = relay::snapshotFromBank(sh.populatedBank(3), 1, 0);
-    auto estimate = relay::estimateFromSnapshot(
+    auto estimate = fleet::estimateFromSlots(
         *sh.workload.module, sh.lowered, sh.config.costs, sh.config.policy,
         sh.config.cyclesPerTick, sim::nestedProbeCycles(sh.config.costs),
-        {}, snapshot);
+        {}, snapshot.slots);
     EXPECT_EQ(estimate.profile.size(),
               sh.workload.module->procedureCount());
     EXPECT_EQ(estimate.thetas.size(),

@@ -36,7 +36,9 @@ writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    // An empty vector's data() may be null, which fwrite must not see.
+    if (!bytes.empty())
+        std::fwrite(bytes.data(), 1, bytes.size(), f);
     std::fclose(f);
 }
 
