@@ -3,13 +3,15 @@
  * Golden-result regression tests (check/golden.hh): deterministic
  * summaries of the workload suite, of two full pipeline runs and of
  * the fleet campaign drivers are compared byte-for-byte against
- * snapshots in tests/golden/. Any behaviour drift — an estimator
+ * snapshots in tests/golden/, and the streaming estimator's states are
+ * pinned bit for bit. Any behaviour drift — an estimator
  * tweak, a cost-model change, a CSV formatting change — fails here
  * with the first differing line before a human would notice a number
  * moved. Intentional changes are re-snapshotted with
  * CT_GOLDEN_UPDATE=1 (see docs/TESTING.md).
  */
 
+#include <bit>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
@@ -21,6 +23,10 @@
 #include "fleet/fleet.hh"
 #include "ir/analysis.hh"
 #include "relay/tree.hh"
+#include "sim/machine.hh"
+#include "stats/summary.hh"
+#include "tomography/streaming.hh"
+#include "util/hash.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -46,6 +52,18 @@ fmtRow(const char *format, ...)
     std::vsnprintf(buf, sizeof buf, format, args);
     va_end(args);
     return buf;
+}
+
+/** FNV-1a over the bit pattern of every field of @p state. */
+uint64_t
+stateDigest(const tomography::StreamingState &state)
+{
+    uint64_t hash = fnv1a(nullptr, 0);
+    for (const auto *field : {&state.theta, &state.statTaken, &state.statFall})
+        for (double value : *field)
+            hash = fnv1aWord(std::bit_cast<uint64_t>(value), hash);
+    hash = fnv1aWord(state.count, hash);
+    return fnv1aWord(state.outliers, hash);
 }
 
 TEST(PropGolden, UpdateModeIsOffDuringNormalRuns)
@@ -187,6 +205,87 @@ TEST(PropGolden, FleetCampaignsMatchSnapshot)
                   (unsigned long long)tree.rootDigest);
 
     auto result = check::compareGolden(goldenPath("fleet_campaigns.txt"), out);
+    EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST(PropGolden, StreamingStatesMatchSnapshot)
+{
+    // The streaming estimator's full state after every procedure of
+    // every program has streamed through it: seed-1 traces at 8 cycles
+    // per tick, two out-of-range durations mixed into each stream, over
+    // {callee moments folded in or not} x {jitter 0, 0.7 ticks} x
+    // {decaying step, forgetting 0.05}. theta is printed exactly and
+    // the digest covers every field's bits, so any change to the E-step
+    // arithmetic shows here, including crc16's 1,022-path table.
+    constexpr size_t kInvocations = 120;
+    std::string out =
+        "# streaming states: 120 invocations per program, seed 1, "
+        "8 cycles/tick\n"
+        "program,proc,callees,jitter,forgetting,paths,count,outliers,"
+        "digest,theta\n";
+    for (const auto &workload : workloads::allWorkloads()) {
+        sim::SimConfig config;
+        auto lowered = sim::lowerModule(*workload.module);
+        auto inputs = workload.makeInputs(1);
+        sim::Simulator simulator(*workload.module, lowered, config, *inputs,
+                                 1);
+        auto trace = simulator.run(workload.entry, kInvocations).trace;
+
+        // Callee moments as measured, in cycles.
+        const size_t procs = workload.module->procedureCount();
+        const double tick = double(config.cyclesPerTick);
+        std::vector<double> no_callees(procs, 0.0);
+        std::vector<double> means(procs, 0.0);
+        std::vector<double> vars(procs, 0.0);
+        for (ir::ProcId proc = 0; proc < procs; ++proc) {
+            OnlineStats stats;
+            for (int64_t d : trace.durations(proc))
+                stats.add(double(d) * tick);
+            means[proc] = stats.mean();
+            vars[proc] = stats.variance();
+        }
+
+        for (ir::ProcId proc = 0; proc < procs; ++proc) {
+            auto durations = trace.durations(proc);
+            if (durations.empty())
+                continue;
+            durations.insert(durations.begin() + durations.size() / 2,
+                             {1'000'000, -3});
+            const auto &name = workload.module->procedure(proc).name();
+            for (bool callees : {false, true}) {
+                tomography::TimingModel model(
+                    workload.module->procedure(proc), lowered.procs[proc],
+                    config.costs, config.policy, config.cyclesPerTick,
+                    callees ? means : no_callees,
+                    sim::nestedProbeCycles(config.costs),
+                    callees ? vars : std::vector<double>{});
+                for (double jitter : {0.0, 0.7}) {
+                    for (double forgetting : {0.0, 0.05}) {
+                        tomography::EstimatorOptions options;
+                        options.jitterSigmaTicks = jitter;
+                        tomography::StreamingEstimator streaming(
+                            model, options, 0.7, forgetting);
+                        streaming.observeAll(durations);
+                        auto state = streaming.snapshot();
+                        out += fmtRow("%s,%s,%s,%.1f,%.2f,%zu,%llu,%llu,"
+                                      "%016llx,",
+                                      workload.name.c_str(), name.c_str(),
+                                      callees ? "folded" : "none", jitter,
+                                      forgetting, streaming.pathCount(),
+                                      (unsigned long long)state.count,
+                                      (unsigned long long)state.outliers,
+                                      (unsigned long long)stateDigest(state));
+                        for (size_t b = 0; b < state.theta.size(); ++b)
+                            out += fmtRow(b ? " %.17g" : "%.17g",
+                                          state.theta[b]);
+                        out += "\n";
+                    }
+                }
+            }
+        }
+    }
+    auto result =
+        check::compareGolden(goldenPath("streaming_states.txt"), out);
     EXPECT_TRUE(result.ok) << result.message;
 }
 
