@@ -17,9 +17,10 @@
  *
  * The EstimatorBank is the standard record sink: one
  * StreamingEstimator per (mote, procedure), created on first record,
- * sharing one TimingModel per procedure across motes. Sink state is
- * O(paths + branches) per active (mote, procedure) pair — exactly the
- * footprint argument the paper makes for estimation-based profiling.
+ * sharing one TimingModel and one path table per procedure across
+ * motes. Sink state is O(branches) per active (mote, procedure) pair —
+ * exactly the footprint argument the paper makes for estimation-based
+ * profiling.
  */
 
 #ifndef CT_NET_COLLECTOR_HH

@@ -1,7 +1,9 @@
 #include "tomography/streaming.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
 
 #include "util/logging.hh"
 
@@ -21,13 +23,38 @@ PathTable::build(const TimingModel &model, const EstimatorOptions &options)
     if (set.paths.empty())
         fatal("streaming estimator: no paths enumerated for '",
               model.proc().name(), "'");
+
+    // Class ids in order of first appearance. Kernel classes key on the
+    // bits of (reward, extra variance): bitwise-equal arguments are what
+    // make NoiseKernel::prob's results bitwise equal.
+    std::map<std::vector<uint32_t>, uint32_t> decision_ids;
+    std::map<std::pair<uint64_t, uint64_t>, uint32_t> kernel_ids;
     const double tick = double(model.cyclesPerTick());
+    table->paths.reserve(set.paths.size());
     for (const auto &path : set.paths) {
-        table->features.push_back(extractFeatures(model, path));
-        table->rewards.push_back(path.reward);
-        table->extraVarTicks2.push_back(
-            model.pathVarianceCycles(path.states) / (tick * tick));
+        auto features = extractFeatures(model, path);
+        auto counts = std::move(features.takenCount);
+        counts.insert(counts.end(), features.fallCount.begin(),
+                      features.fallCount.end());
+        auto [decisions, new_decisions] = decision_ids.try_emplace(
+            std::move(counts), uint32_t(decision_ids.size()));
+        if (new_decisions)
+            table->decisionCounts.insert(table->decisionCounts.end(),
+                                         decisions->first.begin(),
+                                         decisions->first.end());
+
+        double var = model.pathVarianceCycles(path.states) / (tick * tick);
+        auto [kernel, new_kernel] = kernel_ids.try_emplace(
+            {std::bit_cast<uint64_t>(path.reward),
+             std::bit_cast<uint64_t>(var)},
+            uint32_t(kernel_ids.size()));
+        if (new_kernel) {
+            table->rewards.push_back(path.reward);
+            table->extraVarTicks2.push_back(var);
+        }
+        table->paths.push_back({decisions->second, kernel->second});
     }
+    table->decisionClasses = decision_ids.size();
     return table;
 }
 
@@ -107,8 +134,24 @@ StreamingEstimator::init(const EstimatorOptions &, double step_exponent,
     theta_.assign(model_.paramCount(), 0.5);
     statTaken_.assign(model_.paramCount(), 0.0);
     statFall_.assign(model_.paramCount(), 0.0);
-    resp_.assign(table_->pathCount(), 0.0);
 }
+
+namespace {
+
+/** E-step scratch, sized by class counts; one per thread, because the
+ *  estimators sharing a table may run on any shard worker. */
+struct EStepScratch
+{
+    std::vector<double> logTaken; //!< per parameter: log theta
+    std::vector<double> logFall;  //!< per parameter: log(1 - theta)
+    std::vector<double> prior;    //!< per decision-count class
+    std::vector<double> kernel;   //!< per kernel class
+    std::vector<double> expected; //!< decision counts, PathTable row layout
+};
+
+thread_local EStepScratch t_scratch;
+
+} // namespace
 
 void
 StreamingEstimator::observe(int64_t duration_ticks)
@@ -118,15 +161,49 @@ StreamingEstimator::observe(int64_t duration_ticks)
         return;
     }
 
-    // E-step for this single observation.
-    const auto &features = table_->features;
-    const size_t paths = features.size();
+    // E-step for this single observation, folded over path classes:
+    // log, exp and NoiseKernel::prob run once per parameter or class,
+    // and only the sums run over paths. Each path's term is the same
+    // product of the same doubles as a per-path E-step computes, added
+    // in path order, so the state is bitwise identical to it
+    // (tests/test_streaming_reference.cc keeps that form as the
+    // reference). A path whose kernel is exactly zero would add +0.0 to
+    // sums that are never -0.0, so it is skipped.
+    const PathTable &table = *table_;
+    const size_t params = theta_.size();
+    const size_t row = 2 * params;
+    EStepScratch &scratch = t_scratch;
+
+    scratch.logTaken.resize(params);
+    scratch.logFall.resize(params);
+    for (size_t b = 0; b < params; ++b) {
+        double p = std::clamp(theta_[b], 1e-12, 1.0 - 1e-12);
+        scratch.logTaken[b] = std::log(p);
+        scratch.logFall[b] = std::log1p(-p);
+    }
+    // PathFeatures::logProb, term for term.
+    scratch.prior.resize(table.decisionClasses);
+    for (size_t c = 0; c < table.decisionClasses; ++c) {
+        const double *counts = &table.decisionCounts[c * row];
+        double lp = 0.0;
+        for (size_t b = 0; b < params; ++b) {
+            if (counts[b] > 0)
+                lp += counts[b] * scratch.logTaken[b];
+            if (counts[params + b] > 0)
+                lp += counts[params + b] * scratch.logFall[b];
+        }
+        scratch.prior[c] = std::exp(lp);
+    }
+    scratch.kernel.resize(table.kernelClasses());
+    for (size_t k = 0; k < table.kernelClasses(); ++k)
+        scratch.kernel[k] = noise_.prob(duration_ticks, table.rewards[k],
+                                        table.extraVarTicks2[k]);
+
     double denom = 0.0;
-    for (size_t p = 0; p < paths; ++p) {
-        double prior = std::exp(features[p].logProb(theta_));
-        resp_[p] = prior * noise_.prob(duration_ticks, table_->rewards[p],
-                                       table_->extraVarTicks2[p]);
-        denom += resp_[p];
+    for (const auto &path : table.paths) {
+        double kernel = scratch.kernel[path.kernel];
+        if (kernel != 0.0)
+            denom += scratch.prior[path.decisions] * kernel;
     }
     ++count_;
     if (denom <= 0.0) {
@@ -134,19 +211,25 @@ StreamingEstimator::observe(int64_t duration_ticks)
         return;
     }
 
+    scratch.expected.assign(row, 0.0);
+    for (const auto &path : table.paths) {
+        double kernel = scratch.kernel[path.kernel];
+        if (kernel == 0.0)
+            continue;
+        double w = scratch.prior[path.decisions] * kernel / denom;
+        const double *counts = &table.decisionCounts[path.decisions * row];
+        for (size_t i = 0; i < row; ++i)
+            scratch.expected[i] += w * counts[i];
+    }
+
     // Stochastic-approximation blend of the sufficient statistics.
     // Constant-step ("forgetting") mode tracks drifting environments.
     double rho = forgetting_ > 0.0
                      ? forgetting_
                      : std::pow(double(count_), -stepExponent_);
-    for (size_t b = 0; b < theta_.size(); ++b) {
-        double taken = 0.0;
-        double fall = 0.0;
-        for (size_t p = 0; p < paths; ++p) {
-            double w = resp_[p] / denom;
-            taken += w * features[p].takenCount[b];
-            fall += w * features[p].fallCount[b];
-        }
+    for (size_t b = 0; b < params; ++b) {
+        double taken = scratch.expected[b];
+        double fall = scratch.expected[params + b];
         statTaken_[b] = (1.0 - rho) * statTaken_[b] + rho * taken;
         statFall_[b] = (1.0 - rho) * statFall_[b] + rho * fall;
 

@@ -4,7 +4,8 @@
  *
  * The batch estimators need the full duration trace in memory. A sink
  * node receiving one timestamp report per packet wants to fold each
- * observation in as it arrives and keep only O(paths + branches) state.
+ * observation in as it arrives and keep only O(branches) state per
+ * estimator, next to one immutable path table per procedure.
  * This estimator implements stochastic-approximation EM (Cappe &
  * Moulines style): per observation it computes path responsibilities
  * under the current theta and blends the resulting decision counts
@@ -15,7 +16,9 @@
 #ifndef CT_TOMOGRAPHY_STREAMING_HH
 #define CT_TOMOGRAPHY_STREAMING_HH
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "tomography/estimator.hh"
 #include "tomography/noise_kernel.hh"
@@ -23,23 +26,46 @@
 namespace ct::tomography {
 
 /**
- * The latent path set one streaming estimator ranges over: per-path
- * branch-decision features, rewards (cycles), and residual variance.
- * A pure function of (model, options.pathEnum), so every estimator of
- * the same procedure can share one immutable table — at fleet scale
- * (one estimator per (mote, procedure), 10^5..10^6 motes) this turns
- * the per-estimator construction cost from a full path enumeration
- * into three vector handles, and the per-estimator footprint into the
- * mutable state alone.
+ * The latent path set one streaming estimator ranges over, grouped so
+ * the E-step does its transcendental work once per class of paths
+ * instead of once per path: a path's prior depends only on its
+ * branch-decision counts, and its measurement kernel only on its
+ * (reward, extra variance) pair. crc16's 1,022 paths at 8 cycles per
+ * tick carry 54 classes of each.
+ *
+ * A pure function of (model, options.pathEnum), immutable after
+ * build(), so every estimator of the same procedure — on any thread —
+ * shares one table: at fleet scale (one estimator per (mote,
+ * procedure), 10^5..10^6 motes) this turns the per-estimator
+ * construction cost from a full path enumeration into one handle, and
+ * the per-estimator footprint into the mutable state alone.
  */
 struct PathTable
 {
-    std::vector<PathFeatures> features;  //!< per path
-    std::vector<double> rewards;         //!< per path, cycles
-    std::vector<double> extraVarTicks2;  //!< per path
+    /** One latent path's two class ids. */
+    struct Path
+    {
+        uint32_t decisions; //!< decision-count class
+        uint32_t kernel;    //!< kernel class
+    };
+
+    /** Latent paths in enumeration order, the order E-step sums run in. */
+    std::vector<Path> paths;
+    /**
+     * Decision-count classes, one row of 2 * paramCount whole numbers
+     * per class: how often its paths take parameter b's branch (column
+     * b) and fall through it (column paramCount + b).
+     */
+    std::vector<double> decisionCounts;
+    size_t decisionClasses = 0;
+    /** Kernel classes: distinct (reward in cycles, extra variance in
+     *  ticks^2) pairs. */
+    std::vector<double> rewards;
+    std::vector<double> extraVarTicks2;
     size_t paramCount = 0;
 
-    size_t pathCount() const { return features.size(); }
+    size_t pathCount() const { return paths.size(); }
+    size_t kernelClasses() const { return rewards.size(); }
 
     /** Enumerate under the agnostic prior; fatal() when no path fits
      *  the enumeration bounds (same contract as the estimator ctor). */
@@ -216,8 +242,6 @@ class StreamingEstimator
     std::vector<double> theta_;
     std::vector<double> statTaken_; //!< EW sufficient statistics
     std::vector<double> statFall_;
-    std::vector<double> resp_; //!< per-path E-step scratch (no per-
-                               //!< observation allocation on the hot path)
     uint64_t count_ = 0;
     uint64_t outliers_ = 0;
 };

@@ -156,6 +156,25 @@ TEST(Streaming, BranchFreeProcedureIsNoop)
     EXPECT_EQ(streaming.observations(), 1u);
 }
 
+TEST(Streaming, PathTableFoldsPathsIntoFewClasses)
+{
+    // The E-step's transcendental work follows the class counts, not
+    // the path count: crc16's 1,022 latent paths at the sink's 8 cycles
+    // per tick share 54 decision-count vectors and 54 (reward, extra
+    // variance) pairs.
+    StreamFixture fx("crc16", 10, 8);
+    auto table = PathTable::build(*fx.model, {});
+    EXPECT_EQ(table->pathCount(), 1022u);
+    EXPECT_EQ(table->decisionClasses, 54u);
+    EXPECT_EQ(table->kernelClasses(), 54u);
+    ASSERT_EQ(table->decisionCounts.size(),
+              table->decisionClasses * 2 * table->paramCount);
+    for (const auto &path : table->paths) {
+        EXPECT_LT(path.decisions, table->decisionClasses);
+        EXPECT_LT(path.kernel, table->kernelClasses());
+    }
+}
+
 TEST(Streaming, MatchesBatchEmClosely)
 {
     StreamFixture fx("surge_route");
