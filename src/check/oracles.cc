@@ -353,7 +353,9 @@ arqLosslessEquivalenceOracle(const ArqScenario &scenario)
     net::UplinkConfig uplink;
     uplink.window = 16;
     uplink.maxRetries = 64;
-    net::SinkCollector sink({.skipAheadPackets = 0});
+    net::CollectorConfig collector;
+    collector.skipAheadPackets = 0;
+    net::SinkCollector sink(collector);
     net::EstimatorBank bank(*workload.module, lowered, config.costs,
                             config.policy, config.cyclesPerTick, {},
                             nested_probes);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <mutex>
 
@@ -13,6 +12,7 @@
 #include "tomography/timing_model.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
+#include "util/str.hh"
 #include "workloads/campaign.hh"
 
 namespace fs = std::filesystem;
@@ -44,9 +44,7 @@ ShardLayout::lastMote(size_t shard) const
 std::string
 shardDirName(size_t shard)
 {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "shard-%03zu", shard);
-    return buf;
+    return format("shard-%03zu", shard);
 }
 
 std::vector<std::string>
