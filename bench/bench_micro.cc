@@ -166,11 +166,12 @@ BM_PipelineRun(benchmark::State &state)
 BENCHMARK(BM_PipelineRun);
 
 void
-BM_StreamingObserve(benchmark::State &state)
+BM_StreamingObserve(benchmark::State &state, const char *name,
+                    uint64_t ticks)
 {
-    auto workload = workloads::makeCrc16();
+    auto workload = workloads::workloadByName(name);
     sim::SimConfig config;
-    config.cyclesPerTick = 4;
+    config.cyclesPerTick = ticks;
     auto inputs = workload.makeInputs(1);
     sim::Simulator simulator(*workload.module,
                              sim::lowerModule(*workload.module), config,
@@ -182,17 +183,25 @@ BM_StreamingObserve(benchmark::State &state)
     std::vector<double> no_callees(workload.module->procedureCount(), 0.0);
     tomography::TimingModel model(
         workload.entryProc(), lowered.procs[workload.entry], config.costs,
-        config.policy, 4, no_callees, sim::nestedProbeCycles(config.costs));
+        config.policy, ticks, no_callees,
+        sim::nestedProbeCycles(config.costs));
 
     size_t cursor = 0;
     tomography::StreamingEstimator streaming(model);
     for (auto _ : state) {
         streaming.observe(durations[cursor]);
+        benchmark::DoNotOptimize(streaming.theta().data());
+        benchmark::ClobberMemory();
         cursor = (cursor + 1) % durations.size();
     }
     state.SetItemsProcessed(int64_t(state.iterations()));
+    state.SetLabel(std::to_string(streaming.pathCount()) + " paths");
 }
-BENCHMARK(BM_StreamingObserve);
+// crc16's 1,022-path table, and the 3-path event_dispatch table at 1
+// cycle per tick that the benchmark's ingest_lossy workload streams
+// through, where a per-class overhead would show first.
+BENCHMARK_CAPTURE(BM_StreamingObserve, crc16, "crc16", 4);
+BENCHMARK_CAPTURE(BM_StreamingObserve, event_dispatch, "event_dispatch", 1);
 
 } // namespace
 
