@@ -142,11 +142,10 @@ namespace {
  *  estimators sharing a table may run on any shard worker. */
 struct EStepScratch
 {
-    std::vector<double> logTaken; //!< per parameter: log theta
-    std::vector<double> logFall;  //!< per parameter: log(1 - theta)
+    std::vector<double> logs;     //!< log theta_b, then log(1 - theta_b)
     std::vector<double> prior;    //!< per decision-count class
     std::vector<double> kernel;   //!< per kernel class
-    std::vector<double> expected; //!< decision counts, PathTable row layout
+    std::vector<double> expected; //!< decision counts, a decisionCounts row
 };
 
 thread_local EStepScratch t_scratch;
@@ -167,19 +166,18 @@ StreamingEstimator::observe(int64_t duration_ticks)
     // product of the same doubles as a per-path E-step computes, added
     // in path order, so the state is bitwise identical to it
     // (tests/test_streaming_reference.cc keeps that form as the
-    // reference). A path whose kernel is exactly zero would add +0.0 to
-    // sums that are never -0.0, so it is skipped.
+    // reference). A path whose kernel is exactly zero would add a zero
+    // to sums that are never -0.0, so it is skipped.
     const PathTable &table = *table_;
     const size_t params = theta_.size();
     const size_t row = 2 * params;
     EStepScratch &scratch = t_scratch;
 
-    scratch.logTaken.resize(params);
-    scratch.logFall.resize(params);
+    scratch.logs.resize(row);
     for (size_t b = 0; b < params; ++b) {
         double p = std::clamp(theta_[b], 1e-12, 1.0 - 1e-12);
-        scratch.logTaken[b] = std::log(p);
-        scratch.logFall[b] = std::log1p(-p);
+        scratch.logs[b] = std::log(p);
+        scratch.logs[params + b] = std::log1p(-p);
     }
     // PathFeatures::logProb, term for term.
     scratch.prior.resize(table.decisionClasses);
@@ -188,9 +186,9 @@ StreamingEstimator::observe(int64_t duration_ticks)
         double lp = 0.0;
         for (size_t b = 0; b < params; ++b) {
             if (counts[b] > 0)
-                lp += counts[b] * scratch.logTaken[b];
+                lp += counts[b] * scratch.logs[b];
             if (counts[params + b] > 0)
-                lp += counts[params + b] * scratch.logFall[b];
+                lp += counts[params + b] * scratch.logs[params + b];
         }
         scratch.prior[c] = std::exp(lp);
     }
