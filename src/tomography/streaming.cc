@@ -161,13 +161,14 @@ StreamingEstimator::observe(int64_t duration_ticks)
     }
 
     // E-step for this single observation, folded over path classes:
-    // log, exp and NoiseKernel::prob run once per parameter or class,
-    // and only the sums run over paths. Each path's term is the same
-    // product of the same doubles as a per-path E-step computes, added
-    // in path order, so the state is bitwise identical to it
-    // (tests/test_streaming_reference.cc keeps that form as the
-    // reference). A path whose kernel is exactly zero would add a zero
-    // to sums that are never -0.0, so it is skipped.
+    // log, exp and NoiseKernel::prob run once per parameter or class;
+    // only the sums run over paths. Each path's term is the same product
+    // of the same doubles a per-path E-step computes, and each sum adds
+    // the terms in path order, so the state is bitwise identical to the
+    // per-path form tests/test_streaming_reference.cc keeps as the
+    // reference. The decision-count sums skip paths whose kernel is
+    // exactly zero: such a path adds a zero to a sum that starts at +0.0
+    // and never becomes -0.0, which changes nothing.
     const PathTable &table = *table_;
     const size_t params = theta_.size();
     const size_t row = 2 * params;
@@ -198,11 +199,8 @@ StreamingEstimator::observe(int64_t duration_ticks)
                                         table.extraVarTicks2[k]);
 
     double denom = 0.0;
-    for (const auto &path : table.paths) {
-        double kernel = scratch.kernel[path.kernel];
-        if (kernel != 0.0)
-            denom += scratch.prior[path.decisions] * kernel;
-    }
+    for (const auto &path : table.paths)
+        denom += scratch.prior[path.decisions] * scratch.kernel[path.kernel];
     ++count_;
     if (denom <= 0.0) {
         ++outliers_;
