@@ -1,11 +1,11 @@
 /**
  * @file
- * StreamingEstimator against a per-path reference: the E-step as it
- * was first written, where every latent path pays its own logProb, exp
- * and NoiseKernel::prob and the M-step sweeps every path once per
- * parameter. The estimator must reproduce the reference's state bit
- * for bit after every observation, on random CFGs with random noise
- * and step settings, and from several threads sharing one PathTable.
+ * StreamingEstimator against a per-path reference E-step, where every
+ * latent path pays its own logProb, exp and NoiseKernel::prob and the
+ * M-step sweeps every path once per parameter. The estimator must
+ * reproduce the reference's state bit for bit after every observation,
+ * on random CFGs with random noise and step settings, and from several
+ * threads sharing one PathTable.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
