@@ -3,8 +3,8 @@
  * Golden-result regression tests (check/golden.hh): deterministic
  * summaries of the workload suite, of two full pipeline runs and of
  * the fleet campaign drivers are compared byte-for-byte against
- * snapshots in tests/golden/, and the streaming estimator's states are
- * pinned bit for bit. Any behaviour drift — an estimator
+ * snapshots in tests/golden/, and the streaming estimator's states and
+ * the batch estimates are pinned bit for bit. Any behaviour drift — an estimator
  * tweak, a cost-model change, a CSV formatting change — fails here
  * with the first differing line before a human would notice a number
  * moved. Intentional changes are re-snapshotted with
@@ -25,6 +25,8 @@
 #include "relay/tree.hh"
 #include "sim/machine.hh"
 #include "stats/summary.hh"
+#include "tomography/estimator.hh"
+#include "tomography/fit_quality.hh"
 #include "tomography/streaming.hh"
 #include "util/hash.hh"
 #include "workloads/workload.hh"
@@ -64,6 +66,13 @@ stateDigest(const tomography::StreamingState &state)
             hash = fnv1aWord(std::bit_cast<uint64_t>(value), hash);
     hash = fnv1aWord(state.count, hash);
     return fnv1aWord(state.outliers, hash);
+}
+
+/** FNV-1a over the bit pattern of @p value. */
+uint64_t
+bitsDigest(double value, uint64_t hash)
+{
+    return fnv1aWord(std::bit_cast<uint64_t>(value), hash);
 }
 
 TEST(PropGolden, UpdateModeIsOffDuringNormalRuns)
@@ -286,6 +295,100 @@ TEST(PropGolden, StreamingStatesMatchSnapshot)
     }
     auto result =
         check::compareGolden(goldenPath("streaming_states.txt"), out);
+    EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST(PropGolden, BatchEstimatesMatchSnapshot)
+{
+    // The batch estimators' results, and the fit check of each
+    // estimate, for every procedure with branches in every program:
+    // seed-1 traces at 8 cycles per tick over {callee moments folded in
+    // or not} x {jitter 0, 0.7 ticks} x {linear, em}. theta is printed
+    // exactly; the digest covers the bits of every other double the
+    // estimate and assessFit produce, predicted PMF included, so any
+    // change to the path set, the priors or a sum's order shows here.
+    constexpr size_t kInvocations = 2'000;
+    std::string out =
+        "# batch estimates: 2000 invocations per program, seed 1, "
+        "8 cycles/tick\n"
+        "program,proc,callees,jitter,estimator,iterations,paths,"
+        "reward_classes,digest,theta\n";
+    for (const auto &workload : workloads::allWorkloads()) {
+        sim::SimConfig config;
+        auto lowered = sim::lowerModule(*workload.module);
+        auto inputs = workload.makeInputs(1);
+        sim::Simulator simulator(*workload.module, lowered, config, *inputs,
+                                 1);
+        auto trace = simulator.run(workload.entry, kInvocations).trace;
+
+        // Callee moments as measured, in cycles.
+        const size_t procs = workload.module->procedureCount();
+        const double tick = double(config.cyclesPerTick);
+        std::vector<double> no_callees(procs, 0.0);
+        std::vector<double> means(procs, 0.0);
+        std::vector<double> vars(procs, 0.0);
+        for (ir::ProcId proc = 0; proc < procs; ++proc) {
+            OnlineStats stats;
+            for (int64_t d : trace.durations(proc))
+                stats.add(double(d) * tick);
+            means[proc] = stats.mean();
+            vars[proc] = stats.variance();
+        }
+
+        for (ir::ProcId proc = 0; proc < procs; ++proc) {
+            const auto durations = trace.durations(proc);
+            const auto &procedure = workload.module->procedure(proc);
+            if (durations.empty() || procedure.branchBlocks().empty())
+                continue;
+            for (bool callees : {false, true}) {
+                tomography::TimingModel model(
+                    procedure, lowered.procs[proc], config.costs,
+                    config.policy, config.cyclesPerTick,
+                    callees ? means : no_callees,
+                    sim::nestedProbeCycles(config.costs),
+                    callees ? vars : std::vector<double>{});
+                for (double jitter : {0.0, 0.7}) {
+                    for (auto kind : {tomography::EstimatorKind::Linear,
+                                      tomography::EstimatorKind::Em}) {
+                        tomography::EstimatorOptions options;
+                        options.jitterSigmaTicks = jitter;
+                        auto estimate =
+                            tomography::makeEstimator(kind, options)
+                                ->estimate(model, durations);
+                        auto fit = tomography::assessFit(
+                            model, estimate.theta, durations, options);
+
+                        uint64_t hash = fnv1a(nullptr, 0);
+                        for (double value :
+                             {estimate.logLikelihood,
+                              estimate.coveredPathMass, estimate.aliasedMass,
+                              fit.totalVariation, fit.meanLogLikelihood,
+                              fit.unexplainedMass})
+                            hash = bitsDigest(value, hash);
+                        for (const auto &[ticks, mass] : fit.predicted) {
+                            hash = fnv1aWord(uint64_t(ticks), hash);
+                            hash = bitsDigest(mass, hash);
+                        }
+                        out += fmtRow("%s,%s,%s,%.1f,%s,%zu,%zu,%zu,%016llx,",
+                                      workload.name.c_str(),
+                                      procedure.name().c_str(),
+                                      callees ? "folded" : "none", jitter,
+                                      tomography::estimatorName(kind),
+                                      estimate.iterations,
+                                      estimate.pathCount,
+                                      estimate.rewardClasses,
+                                      (unsigned long long)hash);
+                        for (size_t b = 0; b < estimate.theta.size(); ++b)
+                            out += fmtRow(b ? " %.17g" : "%.17g",
+                                          estimate.theta[b]);
+                        out += "\n";
+                    }
+                }
+            }
+        }
+    }
+    auto result =
+        check::compareGolden(goldenPath("batch_estimates.txt"), out);
     EXPECT_TRUE(result.ok) << result.message;
 }
 
