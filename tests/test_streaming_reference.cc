@@ -1,11 +1,16 @@
 /**
  * @file
- * StreamingEstimator against a per-path reference E-step, where every
- * latent path pays its own logProb, exp and NoiseKernel::prob and the
- * M-step sweeps every path once per parameter. The estimator must
- * reproduce the reference's state bit for bit after every observation,
- * on random CFGs with random noise and step settings, and from several
- * threads sharing one PathTable.
+ * The class-folded estimators against per-path references, where every
+ * latent path pays its own log prior, exp and NoiseKernel::prob:
+ *
+ *  - StreamingEstimator against a per-path streaming E-step whose
+ *    M-step sweeps every path once per parameter. The estimator must
+ *    reproduce the reference's state bit for bit after every
+ *    observation, on random CFGs with random noise and step settings,
+ *    and from several threads sharing one PathTable.
+ *  - EmPathEstimator against the per-path batch EM, whose likelihood
+ *    matrix has one column per path. Every EstimateResult field must
+ *    match bit for bit on the same random CFGs.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +19,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +29,7 @@
 #include "check/check.hh"
 #include "markov/paths.hh"
 #include "sim/machine.hh"
+#include "tomography/em_estimator.hh"
 #include "tomography/streaming.hh"
 #include "workloads/workload.hh"
 
@@ -32,6 +39,21 @@ using namespace ct;
 using namespace ct::tomography;
 
 namespace {
+
+/** log P(path | theta) of a path's branch decisions, term by term. */
+double
+logPrior(const PathFeatures &features, const std::vector<double> &theta)
+{
+    double lp = 0.0;
+    for (size_t b = 0; b < theta.size(); ++b) {
+        double p = std::clamp(theta[b], 1e-12, 1.0 - 1e-12);
+        if (features.takenCount[b] > 0)
+            lp += double(features.takenCount[b]) * std::log(p);
+        if (features.fallCount[b] > 0)
+            lp += double(features.fallCount[b]) * std::log1p(-p);
+    }
+    return lp;
+}
 
 /**
  * The per-path streaming E-step: same path enumeration, same formulas
@@ -74,7 +96,7 @@ class ReferenceStreaming
         const size_t paths = features_.size();
         double denom = 0.0;
         for (size_t p = 0; p < paths; ++p) {
-            double prior = std::exp(features_[p].logProb(theta_));
+            double prior = std::exp(logPrior(features_[p], theta_));
             resp_[p] = prior * noise_.prob(duration_ticks, rewards_[p],
                                            extraVarTicks2_[p]);
             denom += resp_[p];
@@ -128,24 +150,168 @@ class ReferenceStreaming
     uint64_t outliers_ = 0;
 };
 
+/**
+ * The per-path batch EM: the same path enumeration, formulas and
+ * summation order as EmPathEstimator, with per-path features and a
+ * likelihood matrix of one column per path.
+ */
+struct ReferenceWorkspace
+{
+    markov::PathSet set;
+    std::vector<PathFeatures> features;
+    std::vector<int64_t> obsValues;
+    std::vector<double> obsWeights;
+    std::vector<double> kernel; //!< row-major, observations x paths
+
+    ReferenceWorkspace(const TimingModel &model,
+                       const std::vector<int64_t> &durations,
+                       const EstimatorOptions &options,
+                       const std::vector<double> &enum_theta)
+    {
+        set = markov::enumeratePaths(model.chainFor(enum_theta),
+                                     model.proc().entry(), options.pathEnum);
+        const double tick = double(model.cyclesPerTick());
+        std::vector<double> extra_var;
+        for (const auto &path : set.paths) {
+            features.push_back(extractFeatures(model, path));
+            extra_var.push_back(model.pathVarianceCycles(path.states) /
+                                (tick * tick));
+        }
+        std::map<int64_t, double> histogram;
+        for (int64_t d : durations)
+            histogram[d] += 1.0;
+        for (const auto &[value, weight] : histogram) {
+            obsValues.push_back(value);
+            obsWeights.push_back(weight);
+        }
+        NoiseKernel noise(model.cyclesPerTick(), options.jitterSigmaTicks);
+        for (int64_t value : obsValues)
+            for (size_t p = 0; p < set.paths.size(); ++p)
+                kernel.push_back(
+                    noise.prob(value, set.paths[p].reward, extra_var[p]));
+    }
+
+    size_t pathCount() const { return set.paths.size(); }
+};
+
+size_t
+referenceRunEm(const ReferenceWorkspace &ws, const EstimatorOptions &options,
+               std::vector<double> &theta, double &log_likelihood)
+{
+    const size_t paths = ws.pathCount();
+    const size_t params = theta.size();
+    std::vector<double> prior(paths, 0.0);
+    size_t iter = 0;
+    for (; iter < options.maxIterations; ++iter) {
+        for (size_t p = 0; p < paths; ++p)
+            prior[p] = std::exp(logPrior(ws.features[p], theta));
+        std::vector<double> path_resp(paths, 0.0);
+        std::vector<double> acc_taken(params, 0.0);
+        std::vector<double> acc_fall(params, 0.0);
+        log_likelihood = 0.0;
+        for (size_t o = 0; o < ws.obsValues.size(); ++o) {
+            const double *krow = &ws.kernel[o * paths];
+            double denom = 0.0;
+            for (size_t p = 0; p < paths; ++p)
+                denom += prior[p] * krow[p];
+            if (denom <= 0.0) {
+                log_likelihood += ws.obsWeights[o] * NoiseKernel::logFloor();
+                continue;
+            }
+            log_likelihood += ws.obsWeights[o] * std::log(denom);
+            double scale = ws.obsWeights[o] / denom;
+            for (size_t p = 0; p < paths; ++p)
+                path_resp[p] += prior[p] * krow[p] * scale;
+        }
+        for (size_t p = 0; p < paths; ++p) {
+            if (path_resp[p] <= 0.0)
+                continue;
+            for (size_t b = 0; b < params; ++b) {
+                acc_taken[b] += path_resp[p] * ws.features[p].takenCount[b];
+                acc_fall[b] += path_resp[p] * ws.features[p].fallCount[b];
+            }
+        }
+        double max_delta = 0.0;
+        for (size_t b = 0; b < params; ++b) {
+            double updated = (acc_taken[b] + options.smoothing) /
+                             (acc_taken[b] + acc_fall[b] +
+                              2.0 * options.smoothing);
+            max_delta = std::max(max_delta, std::abs(updated - theta[b]));
+            theta[b] = updated;
+        }
+        if (max_delta < options.tolerance) {
+            ++iter;
+            break;
+        }
+    }
+    return iter;
+}
+
+EstimateResult
+referenceEm(const TimingModel &model, const std::vector<int64_t> &durations,
+            const EstimatorOptions &options)
+{
+    EstimateResult result;
+    result.theta.assign(model.paramCount(), 0.5);
+    if (model.paramCount() == 0)
+        return result;
+    ReferenceWorkspace ws(model, durations, options, result.theta);
+    result.iterations =
+        referenceRunEm(ws, options, result.theta, result.logLikelihood);
+    if (options.reenumerate) {
+        std::vector<double> enum_theta = result.theta;
+        for (double &p : enum_theta)
+            p = std::clamp(p, 0.05, 0.95);
+        ws = ReferenceWorkspace(model, durations, options, enum_theta);
+        result.iterations +=
+            referenceRunEm(ws, options, result.theta, result.logLikelihood);
+    }
+    result.pathCount = ws.pathCount();
+    result.coveredPathMass = ws.set.coveredMass();
+    auto classes = markov::groupByReward(ws.set, 1e-6);
+    result.rewardClasses = classes.size();
+    for (const auto &cls : classes) {
+        bool mixed = false;
+        for (size_t member : cls.members) {
+            const auto &a = ws.features[cls.members[0]];
+            const auto &b = ws.features[member];
+            mixed = mixed || a.takenCount != b.takenCount ||
+                    a.fallCount != b.fallCount;
+        }
+        if (mixed)
+            for (size_t member : cls.members)
+                result.aliasedMass +=
+                    std::exp(logPrior(ws.features[member], result.theta));
+    }
+    return result;
+}
+
+bool
+sameBits(const std::vector<double> &x, const std::vector<double> &y)
+{
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](double u, double v) {
+                          return std::bit_cast<uint64_t>(u) ==
+                                 std::bit_cast<uint64_t>(v);
+                      });
+}
+
+bool
+sameBits(double x, double y)
+{
+    return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+}
+
 /** "" when every field of @p a and @p b has the same bits, else the
  *  first field that differs. */
 std::string
 firstBitDifference(const StreamingState &a, const StreamingState &b)
 {
-    auto same = [](const std::vector<double> &x,
-                   const std::vector<double> &y) {
-        return std::equal(x.begin(), x.end(), y.begin(), y.end(),
-                          [](double u, double v) {
-                              return std::bit_cast<uint64_t>(u) ==
-                                     std::bit_cast<uint64_t>(v);
-                          });
-    };
-    if (!same(a.theta, b.theta))
+    if (!sameBits(a.theta, b.theta))
         return "theta";
-    if (!same(a.statTaken, b.statTaken))
+    if (!sameBits(a.statTaken, b.statTaken))
         return "statTaken";
-    if (!same(a.statFall, b.statFall))
+    if (!sameBits(a.statFall, b.statFall))
         return "statFall";
     if (a.count != b.count)
         return "count";
@@ -154,17 +320,120 @@ firstBitDifference(const StreamingState &a, const StreamingState &b)
     return "";
 }
 
-/** One random case: a program, a noise and step setting, a stream. */
-struct StreamCase
+/** Same, over every EstimateResult field. */
+std::string
+firstBitDifference(const EstimateResult &a, const EstimateResult &b)
+{
+    if (!sameBits(a.theta, b.theta))
+        return "theta";
+    if (a.iterations != b.iterations)
+        return "iterations";
+    if (!sameBits(a.logLikelihood, b.logLikelihood))
+        return "logLikelihood";
+    if (!sameBits(a.coveredPathMass, b.coveredPathMass))
+        return "coveredPathMass";
+    if (a.pathCount != b.pathCount)
+        return "pathCount";
+    if (a.rewardClasses != b.rewardClasses)
+        return "rewardClasses";
+    if (!sameBits(a.aliasedMass, b.aliasedMass))
+        return "aliasedMass";
+    return "";
+}
+
+/** The procedure shape every random case draws: a random CFG, its
+ *  timer quantum and the moments of a leaf callee. */
+struct ProcedureCase
 {
     uint64_t genSeed = 0;
     double loopProb = 0.0;
     uint64_t cyclesPerTick = 1;
     double jitter = 0.0;
-    double stepExponent = 0.7;
-    double forgetting = 0.0;
     double calleeMean = 0.0;
     double calleeVar = 0.0;
+};
+
+ProcedureCase
+genProcedureCase(Rng &rng)
+{
+    ProcedureCase c;
+    c.genSeed = rng.next();
+    c.loopProb = rng.bernoulli(0.5) ? 0.3 : 0.0;
+    c.cyclesPerTick = uint64_t(1) << rng.below(4);
+    c.jitter = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.05, 1.5);
+    return c;
+}
+
+std::string
+showProcedureCase(const ProcedureCase &c)
+{
+    char buf[200];
+    std::snprintf(buf, sizeof buf,
+                  "genSeed=0x%llx loopProb=%.1f cyclesPerTick=%llu "
+                  "jitter=%.17g calleeMean=%.17g calleeVar=%.17g",
+                  (unsigned long long)c.genSeed, c.loopProb,
+                  (unsigned long long)c.cyclesPerTick, c.jitter,
+                  c.calleeMean, c.calleeVar);
+    return buf;
+}
+
+/**
+ * A random CFG whose blocks call a leaf now and then, so folded callee
+ * means and variances reach the path rewards and kernels, lowered and
+ * modelled.
+ */
+struct RandomProcedure
+{
+    check::FuzzProgram program;
+    sim::LoweredModule lowered;
+    std::unique_ptr<TimingModel> model;
+
+    explicit RandomProcedure(const ProcedureCase &c)
+    {
+        check::FuzzConfig config;
+        config.loopProb = c.loopProb;
+        Rng rng(c.genSeed);
+        program = check::makeFuzzProgram(rng, config);
+        ir::ProcedureBuilder leaf(*program.module, "leaf");
+        leaf.nop();
+        leaf.ret();
+        const ir::ProcId callee = leaf.finish();
+        for (auto &block : program.module->procedure(program.entry).blocks())
+            if (rng.bernoulli(0.3))
+                block.insts.insert(
+                    block.insts.begin(),
+                    ir::Inst{ir::Opcode::Call, 0, 0, 0, ir::Word(callee)});
+
+        sim::SimConfig sim;
+        lowered = sim::lowerModule(*program.module);
+        model = std::make_unique<TimingModel>(
+            program.proc(), lowered.procs[program.entry], sim.costs,
+            sim.policy, c.cyclesPerTick,
+            std::vector<double>{0.0, c.calleeMean},
+            sim::nestedProbeCycles(sim.costs),
+            std::vector<double>{0.0, c.calleeVar});
+    }
+};
+
+/** A duration near one of @p rewards, or now and then an out-of-range
+ *  one (negative, or far beyond every path). */
+int64_t
+randomDuration(Rng &stream, const std::vector<double> &rewards,
+               uint64_t cycles_per_tick)
+{
+    if (stream.bernoulli(0.05))
+        return stream.bernoulli(0.5) ? -stream.range(1, 50)
+                                     : 1'000'000 + stream.range(0, 9);
+    double reward = rewards[stream.below(rewards.size())];
+    return int64_t(reward / double(cycles_per_tick)) + stream.range(-3, 3);
+}
+
+/** One random streaming case: a procedure, a step setting, a stream. */
+struct StreamCase
+{
+    ProcedureCase proc;
+    double stepExponent = 0.7;
+    double forgetting = 0.0;
     uint64_t streamSeed = 0;
     size_t observations = 0;
 };
@@ -173,14 +442,11 @@ StreamCase
 genStreamCase(Rng &rng)
 {
     StreamCase c;
-    c.genSeed = rng.next();
-    c.loopProb = rng.bernoulli(0.5) ? 0.3 : 0.0;
-    c.cyclesPerTick = uint64_t(1) << rng.below(4);
-    c.jitter = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.05, 1.5);
+    c.proc = genProcedureCase(rng);
     c.stepExponent = rng.uniform(0.51, 1.0);
     c.forgetting = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.01, 0.3);
-    c.calleeMean = rng.uniform(0.0, 120.0);
-    c.calleeVar = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 900.0);
+    c.proc.calleeMean = rng.uniform(0.0, 120.0);
+    c.proc.calleeVar = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 900.0);
     c.streamSeed = rng.next();
     c.observations = size_t(rng.range(20, 150));
     return c;
@@ -189,69 +455,34 @@ genStreamCase(Rng &rng)
 std::string
 showStreamCase(const StreamCase &c)
 {
-    char buf[320];
+    char buf[160];
     std::snprintf(buf, sizeof buf,
-                  "{genSeed=0x%llx loopProb=%.1f cyclesPerTick=%llu "
-                  "jitter=%.17g stepExponent=%.17g forgetting=%.17g "
-                  "calleeMean=%.17g calleeVar=%.17g streamSeed=0x%llx "
+                  " stepExponent=%.17g forgetting=%.17g streamSeed=0x%llx "
                   "observations=%zu}",
-                  (unsigned long long)c.genSeed, c.loopProb,
-                  (unsigned long long)c.cyclesPerTick, c.jitter,
-                  c.stepExponent, c.forgetting, c.calleeMean, c.calleeVar,
+                  c.stepExponent, c.forgetting,
                   (unsigned long long)c.streamSeed, c.observations);
-    return buf;
+    return "{" + showProcedureCase(c.proc) + buf;
 }
 
 std::optional<std::string>
 checkStreamCase(const StreamCase &c)
 {
-    // A random CFG whose blocks call a leaf now and then, so folded
-    // callee means and variances reach the path rewards and kernels.
-    check::FuzzConfig config;
-    config.loopProb = c.loopProb;
-    Rng rng(c.genSeed);
-    auto program = check::makeFuzzProgram(rng, config);
-    ir::ProcedureBuilder leaf(*program.module, "leaf");
-    leaf.nop();
-    leaf.ret();
-    const ir::ProcId callee = leaf.finish();
-    for (auto &block : program.module->procedure(program.entry).blocks())
-        if (rng.bernoulli(0.3))
-            block.insts.insert(
-                block.insts.begin(),
-                ir::Inst{ir::Opcode::Call, 0, 0, 0, ir::Word(callee)});
-
-    sim::SimConfig sim;
-    auto lowered = sim::lowerModule(*program.module);
-    TimingModel model(program.proc(), lowered.procs[program.entry],
-                      sim.costs, sim.policy, c.cyclesPerTick,
-                      {0.0, c.calleeMean}, sim::nestedProbeCycles(sim.costs),
-                      {0.0, c.calleeVar});
+    RandomProcedure proc(c.proc);
     EstimatorOptions options;
-    options.jitterSigmaTicks = c.jitter;
+    options.jitterSigmaTicks = c.proc.jitter;
 
-    ReferenceStreaming reference(model, options, c.stepExponent,
+    ReferenceStreaming reference(*proc.model, options, c.stepExponent,
                                  c.forgetting);
-    StreamingEstimator streaming(model, options, c.stepExponent,
+    StreamingEstimator streaming(*proc.model, options, c.stepExponent,
                                  c.forgetting);
     if (streaming.pathCount() != reference.pathCount())
         return "path count " + std::to_string(streaming.pathCount()) +
                " != reference " + std::to_string(reference.pathCount());
 
-    // Durations near a random path's reward, with out-of-range ones
-    // (negative, or far beyond every path) mixed in.
     Rng stream(c.streamSeed);
-    const auto &rewards = reference.rewards();
     for (size_t i = 0; i < c.observations; ++i) {
-        int64_t ticks;
-        if (stream.bernoulli(0.05)) {
-            ticks = stream.bernoulli(0.5) ? -stream.range(1, 50)
-                                          : 1'000'000 + stream.range(0, 9);
-        } else {
-            double reward = rewards[stream.below(rewards.size())];
-            ticks = int64_t(reward / double(c.cyclesPerTick)) +
-                    stream.range(-3, 3);
-        }
+        int64_t ticks = randomDuration(stream, reference.rewards(),
+                                       c.proc.cyclesPerTick);
         reference.observe(ticks);
         streaming.observe(ticks);
         auto diff = firstBitDifference(streaming.snapshot(),
@@ -264,6 +495,71 @@ checkStreamCase(const StreamCase &c)
     return std::nullopt;
 }
 
+/** One random batch case: a procedure, a trace, phase 2 on or off. */
+struct BatchCase
+{
+    ProcedureCase proc;
+    bool reenumerate = true;
+    uint64_t streamSeed = 0;
+    size_t observations = 0;
+};
+
+BatchCase
+genBatchCase(Rng &rng)
+{
+    BatchCase c;
+    c.proc = genProcedureCase(rng);
+    c.proc.calleeMean = rng.uniform(0.0, 120.0);
+    c.proc.calleeVar = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 900.0);
+    c.reenumerate = rng.bernoulli(0.7);
+    c.streamSeed = rng.next();
+    c.observations = size_t(rng.range(1, 400));
+    return c;
+}
+
+std::string
+showBatchCase(const BatchCase &c)
+{
+    char buf[120];
+    std::snprintf(buf, sizeof buf,
+                  " reenumerate=%d streamSeed=0x%llx observations=%zu}",
+                  int(c.reenumerate), (unsigned long long)c.streamSeed,
+                  c.observations);
+    return "{" + showProcedureCase(c.proc) + buf;
+}
+
+std::optional<std::string>
+checkBatchCase(const BatchCase &c)
+{
+    RandomProcedure proc(c.proc);
+    EstimatorOptions options;
+    options.jitterSigmaTicks = c.proc.jitter;
+    options.reenumerate = c.reenumerate;
+
+    // Durations near the rewards of the agnostic path set.
+    std::vector<double> rewards;
+    std::vector<double> agnostic(proc.model->paramCount(), 0.5);
+    for (const auto &path :
+         markov::enumeratePaths(proc.model->chainFor(agnostic),
+                                proc.program.proc().entry(),
+                                options.pathEnum)
+             .paths)
+        rewards.push_back(path.reward);
+    Rng stream(c.streamSeed);
+    std::vector<int64_t> durations;
+    for (size_t i = 0; i < c.observations; ++i)
+        durations.push_back(
+            randomDuration(stream, rewards, c.proc.cyclesPerTick));
+
+    auto expected = referenceEm(*proc.model, durations, options);
+    auto actual = EmPathEstimator(options).estimate(*proc.model, durations);
+    auto diff = firstBitDifference(actual, expected);
+    if (!diff.empty())
+        return diff + " differs from the per-path reference (" +
+               std::to_string(expected.pathCount) + " paths)";
+    return std::nullopt;
+}
+
 } // namespace
 
 TEST(StreamingReference, MatchesPerPathReferenceBitForBit)
@@ -272,6 +568,13 @@ TEST(StreamingReference, MatchesPerPathReferenceBitForBit)
         "StreamingReference.MatchesPerPathReferenceBitForBit",
         genStreamCase, checkStreamCase, nullptr, showStreamCase,
         {.iterations = 60}));
+}
+
+TEST(BatchReference, EmMatchesPerPathReferenceBitForBit)
+{
+    CT_EXPECT_PROP(check::forAll<BatchCase>(
+        "BatchReference.EmMatchesPerPathReferenceBitForBit", genBatchCase,
+        checkBatchCase, nullptr, showBatchCase, {.iterations = 60}));
 }
 
 TEST(StreamingReference, ThreadsSharingOneTableMatchSerial)
