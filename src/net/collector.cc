@@ -203,7 +203,9 @@ EstimatorBank::estimatorFor(uint16_t mote, ir::ProcId proc)
         // first estimator and shared by every later mote.
         if (!tables_[proc])
             tables_[proc] =
-                tomography::PathTable::build(*models_[proc], options_);
+                tomography::PathTable::build(
+                    *models_[proc], options_,
+                    std::vector<double>(models_[proc]->paramCount(), 0.5));
         found = estimators_
                     .emplace(key,
                              std::make_unique<tomography::StreamingEstimator>(

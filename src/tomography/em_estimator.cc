@@ -5,7 +5,8 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "tomography/path_workspace.hh"
+#include "tomography/noise_kernel.hh"
+#include "tomography/path_table.hh"
 #include "util/logging.hh"
 
 namespace ct::tomography {
@@ -17,18 +18,36 @@ EmPathEstimator::EmPathEstimator(EstimatorOptions options)
 
 namespace {
 
-/** One full EM run over a fixed path workspace. Returns iterations. */
+/**
+ * One full EM run over a fixed path table. Returns iterations.
+ *
+ * exp runs once per decision class and NoiseKernel::prob once per
+ * (distinct duration, kernel class) pair; the sums still run over every
+ * path in table order, so each adds the same doubles in the same order
+ * a per-path E-step would (tests/test_streaming_reference.cc keeps one).
+ */
 size_t
-runEm(const PathWorkspace &ws, const EstimatorOptions &options,
+runEm(const PathTable &table, const DurationHistogram &histogram,
+      const NoiseKernel &noise, const EstimatorOptions &options,
       std::vector<double> &theta, double &log_likelihood)
 {
-    const size_t paths = ws.set.paths.size();
+    const size_t paths = table.pathCount();
     const size_t params = theta.size();
+    const size_t row = 2 * params;
 
-    std::vector<double> prior(paths, 0.0);
+    // Likelihood matrix, row-major: likelihood[o * kernels + k] =
+    // P(histogram.values[o] | kernel class k).
+    const size_t kernels = table.kernelClasses();
+    std::vector<double> likelihood(histogram.size() * kernels);
+    for (size_t o = 0; o < histogram.size(); ++o)
+        for (size_t k = 0; k < kernels; ++k)
+            likelihood[o * kernels + k] =
+                noise.prob(histogram.values[o], table.rewards[k],
+                           table.extraVarTicks2[k]);
+
+    std::vector<double> prior;
     std::vector<double> path_resp(paths, 0.0);
-    std::vector<double> acc_taken(params, 0.0);
-    std::vector<double> acc_fall(params, 0.0);
+    std::vector<double> expected(row, 0.0); //!< a decisionCounts row
 
     // Convergence telemetry: one sample per iteration when metrics are
     // on. References cached once; null when observability is off.
@@ -45,53 +64,52 @@ runEm(const PathWorkspace &ws, const EstimatorOptions &options,
     size_t iter = 0;
     for (; iter < options.maxIterations; ++iter) {
         int64_t iter_start_us = tel_ll ? obs::monotonicMicros() : 0;
-        for (size_t p = 0; p < paths; ++p)
-            prior[p] = std::exp(ws.features[p].logProb(theta));
+        table.decisionPriors(theta, prior);
 
         std::fill(path_resp.begin(), path_resp.end(), 0.0);
-        std::fill(acc_taken.begin(), acc_taken.end(), 0.0);
-        std::fill(acc_fall.begin(), acc_fall.end(), 0.0);
+        std::fill(expected.begin(), expected.end(), 0.0);
         log_likelihood = 0.0;
 
-        // E-step over the flat kernel. A path's decision counts do not
-        // depend on the observation, so the per-parameter accumulation
-        // is hoisted out of the observation loop: first total each
-        // path's responsibility mass across observations, then spread
-        // it over the parameters once — O(obs*paths + paths*params)
-        // instead of O(obs*paths*params).
-        for (size_t o = 0; o < ws.obsValues.size(); ++o) {
-            const double *krow = ws.kernelRow(o);
+        // E-step. A path's decision counts do not depend on the
+        // observation, so the per-parameter accumulation is hoisted out
+        // of the observation loop: first total each path's
+        // responsibility mass across observations, then spread it over
+        // the parameters once.
+        for (size_t o = 0; o < histogram.size(); ++o) {
+            const double *krow = &likelihood[o * kernels];
+            const double weight = histogram.weights[o];
             double denom = 0.0;
-            for (size_t p = 0; p < paths; ++p)
-                denom += prior[p] * krow[p];
+            for (const auto &path : table.paths)
+                denom += prior[path.decisions] * krow[path.kernel];
             if (denom <= 0.0) {
                 // Observation outside the modelled support (dropped path
                 // or extreme noise): skip it rather than poison theta.
-                log_likelihood += ws.obsWeights[o] * NoiseKernel::logFloor();
+                log_likelihood += weight * NoiseKernel::logFloor();
                 continue;
             }
-            log_likelihood += ws.obsWeights[o] * std::log(denom);
-            double scale = ws.obsWeights[o] / denom;
-            for (size_t p = 0; p < paths; ++p)
-                path_resp[p] += prior[p] * krow[p] * scale;
+            log_likelihood += weight * std::log(denom);
+            double scale = weight / denom;
+            for (size_t p = 0; p < paths; ++p) {
+                const auto &path = table.paths[p];
+                path_resp[p] += prior[path.decisions] * krow[path.kernel] *
+                                scale;
+            }
         }
         for (size_t p = 0; p < paths; ++p) {
             double resp = path_resp[p];
             if (resp <= 0.0)
                 continue;
-            const auto &f = ws.features[p];
-            for (size_t b = 0; b < params; ++b) {
-                acc_taken[b] += resp * f.takenCount[b];
-                acc_fall[b] += resp * f.fallCount[b];
-            }
+            const double *counts =
+                &table.decisionCounts[table.paths[p].decisions * row];
+            for (size_t i = 0; i < row; ++i)
+                expected[i] += resp * counts[i];
         }
 
         double max_delta = 0.0;
         for (size_t b = 0; b < params; ++b) {
-            double total = acc_taken[b] + acc_fall[b];
-            double updated =
-                (acc_taken[b] + options.smoothing) /
-                (total + 2.0 * options.smoothing);
+            double total = expected[b] + expected[params + b];
+            double updated = (expected[b] + options.smoothing) /
+                             (total + 2.0 * options.smoothing);
             max_delta = std::max(max_delta, std::abs(updated - theta[b]));
             theta[b] = updated;
         }
@@ -109,25 +127,17 @@ runEm(const PathWorkspace &ws, const EstimatorOptions &options,
     return iter;
 }
 
-/** Mass of reward classes whose members disagree on some decision. */
+/** Prior mass under @p theta of the aliased reward classes. */
 double
-aliasedMass(const PathWorkspace &ws, const std::vector<double> &theta)
+aliasedMass(const PathTable &table, const std::vector<double> &theta)
 {
-    auto classes = markov::groupByReward(ws.set, 1e-6);
+    std::vector<double> prior;
+    table.decisionPriors(theta, prior);
     double aliased = 0.0;
-    for (const auto &cls : classes) {
-        bool mixed = false;
-        for (size_t m = 1; m < cls.members.size() && !mixed; ++m) {
-            const auto &a = ws.features[cls.members[0]];
-            const auto &b = ws.features[cls.members[m]];
-            mixed = a.takenCount != b.takenCount ||
-                    a.fallCount != b.fallCount;
-        }
-        if (!mixed)
-            continue;
-        for (size_t member : cls.members)
-            aliased += std::exp(ws.features[member].logProb(theta));
-    }
+    for (const auto &cls : table.rewardClasses)
+        if (cls.aliased)
+            for (size_t member : cls.members)
+                aliased += prior[table.paths[member].decisions];
     return aliased;
 }
 
@@ -144,9 +154,11 @@ EmPathEstimator::estimate(const TimingModel &model,
     CT_SPAN("tomography.em.solve");
 
     // Phase 1: enumerate under the agnostic prior, run EM.
-    auto ws = PathWorkspace::build(model, durations, options_, result.theta);
-    result.iterations =
-        runEm(ws, options_, result.theta, result.logLikelihood);
+    const DurationHistogram histogram(durations);
+    const NoiseKernel noise(model.cyclesPerTick(), options_.jitterSigmaTicks);
+    auto table = PathTable::build(model, options_, result.theta);
+    result.iterations = runEm(*table, histogram, noise, options_,
+                              result.theta, result.logLikelihood);
 
     // Phase 2 (optional): the converged theta may put most mass on paths
     // pruned under the uniform enumeration; re-enumerate around it and
@@ -156,15 +168,15 @@ EmPathEstimator::estimate(const TimingModel &model,
         std::vector<double> enum_theta = result.theta;
         for (double &p : enum_theta)
             p = std::clamp(p, 0.05, 0.95);
-        ws = PathWorkspace::build(model, durations, options_, enum_theta);
-        result.iterations +=
-            runEm(ws, options_, result.theta, result.logLikelihood);
+        table = PathTable::build(model, options_, enum_theta);
+        result.iterations += runEm(*table, histogram, noise, options_,
+                                   result.theta, result.logLikelihood);
     }
 
-    result.pathCount = ws.set.paths.size();
-    result.coveredPathMass = ws.set.coveredMass();
-    result.rewardClasses = markov::groupByReward(ws.set, 1e-6).size();
-    result.aliasedMass = aliasedMass(ws, result.theta);
+    result.pathCount = table->pathCount();
+    result.coveredPathMass = table->coveredMass;
+    result.rewardClasses = table->rewardClasses.size();
+    result.aliasedMass = aliasedMass(*table, result.theta);
 
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();

@@ -35,22 +35,6 @@ makeEstimator(EstimatorKind kind, const EstimatorOptions &options)
     panic("makeEstimator: bad kind");
 }
 
-double
-PathFeatures::logProb(const std::vector<double> &theta) const
-{
-    CT_ASSERT(theta.size() == takenCount.size(),
-              "PathFeatures/theta size mismatch");
-    double lp = 0.0;
-    for (size_t b = 0; b < theta.size(); ++b) {
-        double p = std::clamp(theta[b], 1e-12, 1.0 - 1e-12);
-        if (takenCount[b] > 0)
-            lp += double(takenCount[b]) * std::log(p);
-        if (fallCount[b] > 0)
-            lp += double(fallCount[b]) * std::log1p(-p);
-    }
-    return lp;
-}
-
 PathFeatures
 extractFeatures(const TimingModel &model, const markov::Path &path)
 {

@@ -96,9 +96,6 @@ struct PathFeatures
 {
     std::vector<uint32_t> takenCount; //!< per parameter
     std::vector<uint32_t> fallCount;  //!< per parameter
-
-    /** log P(path | theta) contribution of the branch decisions. */
-    double logProb(const std::vector<double> &theta) const;
 };
 
 /** Extract decision counts for one enumerated path. */

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <set>
 
-#include "markov/paths.hh"
 #include "tomography/noise_kernel.hh"
+#include "tomography/path_table.hh"
 #include "util/logging.hh"
 
 namespace ct::tomography {
@@ -25,28 +25,22 @@ assessFit(const TimingModel &model, const std::vector<double> &theta,
     std::vector<double> enum_theta = theta;
     for (double &p : enum_theta)
         p = std::clamp(p, 0.05, 0.95);
-    auto chain = model.chainFor(enum_theta);
-    auto set = markov::enumeratePaths(chain, model.proc().entry(),
-                                      options.pathEnum);
-    if (set.paths.empty())
-        fatal("assessFit: no paths enumerated for '", model.proc().name(),
-              "'");
+    auto table = PathTable::build(model, options, enum_theta);
+    std::vector<double> prior;
+    table->decisionPriors(theta, prior);
 
     NoiseKernel noise(model.cyclesPerTick(), options.jitterSigmaTicks);
-
     FitQuality out;
     double predicted_total = 0.0;
-    for (const auto &path : set.paths) {
-        auto features = extractFeatures(model, path);
-        double prob = std::exp(features.logProb(theta));
+    for (const auto &path : table->paths) {
+        double prob = prior[path.decisions];
         if (prob <= 0.0)
             continue;
-        double extra_var = model.pathVarianceCycles(path.states) /
-                           double(model.cyclesPerTick() *
-                                  model.cyclesPerTick());
-        auto [lo, hi] = noise.support(path.reward, extra_var);
+        double reward = table->rewards[path.kernel];
+        double extra_var = table->extraVarTicks2[path.kernel];
+        auto [lo, hi] = noise.support(reward, extra_var);
         for (int64_t t = lo; t <= hi; ++t) {
-            double mass = prob * noise.prob(t, path.reward, extra_var);
+            double mass = prob * noise.prob(t, reward, extra_var);
             if (mass > 0.0) {
                 out.predicted[t] += mass;
                 predicted_total += mass;

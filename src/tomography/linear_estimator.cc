@@ -6,7 +6,8 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "tomography/path_workspace.hh"
+#include "tomography/noise_kernel.hh"
+#include "tomography/path_table.hh"
 #include "util/logging.hh"
 
 namespace ct::tomography {
@@ -26,9 +27,10 @@ LinearTomographyEstimator::estimate(
         return result;
     CT_SPAN("tomography.linear.solve");
 
-    std::vector<double> uniform(model.paramCount(), 0.5);
-    auto ws = PathWorkspace::build(model, durations, options_, uniform);
-    auto classes = markov::groupByReward(ws.set, 1e-6);
+    // Paths under the agnostic prior (result.theta is all 0.5 here).
+    auto table = PathTable::build(model, options_, result.theta);
+    const DurationHistogram histogram(durations);
+    const auto &classes = table->rewardClasses;
     const size_t n_classes = classes.size();
 
     // Class-level kernel: P(obs | class reward), widened by the class's
@@ -36,20 +38,17 @@ LinearTomographyEstimator::estimate(
     NoiseKernel noise(model.cyclesPerTick(), options_.jitterSigmaTicks);
     std::vector<double> class_var(n_classes, 0.0);
     for (size_t c = 0; c < n_classes; ++c) {
-        double mass = 0.0;
-        for (size_t member : classes[c].members) {
-            class_var[c] +=
-                ws.set.paths[member].prob * ws.extraVarTicks2[member];
-            mass += ws.set.paths[member].prob;
-        }
-        if (mass > 0.0)
-            class_var[c] /= mass;
+        for (size_t member : classes[c].members)
+            class_var[c] += table->probs[member] *
+                            table->extraVarTicks2[table->paths[member].kernel];
+        if (classes[c].prob > 0.0)
+            class_var[c] /= classes[c].prob;
     }
     std::vector<std::vector<double>> kernel(
-        ws.obsValues.size(), std::vector<double>(n_classes, 0.0));
-    for (size_t o = 0; o < ws.obsValues.size(); ++o)
+        histogram.size(), std::vector<double>(n_classes, 0.0));
+    for (size_t o = 0; o < histogram.size(); ++o)
         for (size_t c = 0; c < n_classes; ++c)
-            kernel[o][c] = noise.prob(ws.obsValues[o], classes[c].reward,
+            kernel[o][c] = noise.prob(histogram.values[o], classes[c].reward,
                                       class_var[c]);
 
     // ML mixture weights over classes (uniform init — deliberately no
@@ -60,17 +59,17 @@ LinearTomographyEstimator::estimate(
     for (; iter < options_.maxIterations; ++iter) {
         std::fill(next.begin(), next.end(), 0.0);
         result.logLikelihood = 0.0;
-        for (size_t o = 0; o < ws.obsValues.size(); ++o) {
+        for (size_t o = 0; o < histogram.size(); ++o) {
             double denom = 0.0;
             for (size_t c = 0; c < n_classes; ++c)
                 denom += freq[c] * kernel[o][c];
             if (denom <= 0.0) {
                 result.logLikelihood +=
-                    ws.obsWeights[o] * NoiseKernel::logFloor();
+                    histogram.weights[o] * NoiseKernel::logFloor();
                 continue;
             }
-            result.logLikelihood += ws.obsWeights[o] * std::log(denom);
-            double scale = ws.obsWeights[o] / denom;
+            result.logLikelihood += histogram.weights[o] * std::log(denom);
+            double scale = histogram.weights[o] / denom;
             for (size_t c = 0; c < n_classes; ++c)
                 next[c] += freq[c] * kernel[o][c] * scale;
         }
@@ -95,47 +94,34 @@ LinearTomographyEstimator::estimate(
     // the agnostic enumeration prior, then read branch decisions. The
     // weights are scaled back to observation counts so the smoothing
     // pseudo-count stays negligible against real data.
-    std::vector<double> acc_taken(model.paramCount(), 0.0);
-    std::vector<double> acc_fall(model.paramCount(), 0.0);
+    const size_t params = model.paramCount();
+    std::vector<double> expected(2 * params, 0.0); //!< a decisionCounts row
     for (size_t c = 0; c < n_classes; ++c) {
-        double member_total = 0.0;
-        for (size_t member : classes[c].members)
-            member_total += ws.set.paths[member].prob;
-        if (member_total <= 0.0)
+        if (classes[c].prob <= 0.0)
             continue;
         for (size_t member : classes[c].members) {
-            double weight = ws.totalWeight * freq[c] *
-                            ws.set.paths[member].prob / member_total;
-            const auto &f = ws.features[member];
-            for (size_t b = 0; b < model.paramCount(); ++b) {
-                acc_taken[b] += weight * f.takenCount[b];
-                acc_fall[b] += weight * f.fallCount[b];
-            }
+            double weight = histogram.total * freq[c] *
+                            table->probs[member] / classes[c].prob;
+            const double *counts =
+                &table->decisionCounts[table->paths[member].decisions * 2 *
+                                       params];
+            for (size_t i = 0; i < 2 * params; ++i)
+                expected[i] += weight * counts[i];
         }
     }
-    for (size_t b = 0; b < model.paramCount(); ++b) {
-        double total = acc_taken[b] + acc_fall[b];
-        result.theta[b] = (acc_taken[b] + options_.smoothing) /
+    for (size_t b = 0; b < params; ++b) {
+        double total = expected[b] + expected[params + b];
+        result.theta[b] = (expected[b] + options_.smoothing) /
                           (total + 2.0 * options_.smoothing);
     }
 
     result.iterations = iter;
-    result.pathCount = ws.set.paths.size();
-    result.coveredPathMass = ws.set.coveredMass();
+    result.pathCount = table->pathCount();
+    result.coveredPathMass = table->coveredMass;
     result.rewardClasses = n_classes;
-    double aliased = 0.0;
-    for (size_t c = 0; c < n_classes; ++c) {
-        bool mixed = false;
-        for (size_t m = 1; m < classes[c].members.size() && !mixed; ++m) {
-            const auto &a = ws.features[classes[c].members[0]];
-            const auto &b = ws.features[classes[c].members[m]];
-            mixed = a.takenCount != b.takenCount ||
-                    a.fallCount != b.fallCount;
-        }
-        if (mixed)
-            aliased += freq[c];
-    }
-    result.aliasedMass = aliased;
+    for (size_t c = 0; c < n_classes; ++c)
+        if (classes[c].aliased)
+            result.aliasedMass += freq[c];
 
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();

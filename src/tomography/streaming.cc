@@ -1,62 +1,11 @@
 #include "tomography/streaming.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <map>
 
 #include "util/logging.hh"
 
 namespace ct::tomography {
-
-std::shared_ptr<const PathTable>
-PathTable::build(const TimingModel &model, const EstimatorOptions &options)
-{
-    auto table = std::make_shared<PathTable>();
-    table->paramCount = model.paramCount();
-
-    // Latent path set, enumerated once under the agnostic prior.
-    std::vector<double> prior(model.paramCount(), 0.5);
-    auto chain = model.chainFor(prior);
-    auto set = markov::enumeratePaths(chain, model.proc().entry(),
-                                      options.pathEnum);
-    if (set.paths.empty())
-        fatal("streaming estimator: no paths enumerated for '",
-              model.proc().name(), "'");
-
-    // Class ids in order of first appearance. Kernel classes key on the
-    // bits of (reward, extra variance): bitwise-equal arguments are what
-    // make NoiseKernel::prob's results bitwise equal.
-    std::map<std::vector<uint32_t>, uint32_t> decision_ids;
-    std::map<std::pair<uint64_t, uint64_t>, uint32_t> kernel_ids;
-    const double tick = double(model.cyclesPerTick());
-    table->paths.reserve(set.paths.size());
-    for (const auto &path : set.paths) {
-        auto features = extractFeatures(model, path);
-        auto counts = std::move(features.takenCount);
-        counts.insert(counts.end(), features.fallCount.begin(),
-                      features.fallCount.end());
-        auto [decisions, new_decisions] = decision_ids.try_emplace(
-            std::move(counts), uint32_t(decision_ids.size()));
-        if (new_decisions)
-            table->decisionCounts.insert(table->decisionCounts.end(),
-                                         decisions->first.begin(),
-                                         decisions->first.end());
-
-        double var = model.pathVarianceCycles(path.states) / (tick * tick);
-        auto [kernel, new_kernel] = kernel_ids.try_emplace(
-            {std::bit_cast<uint64_t>(path.reward),
-             std::bit_cast<uint64_t>(var)},
-            uint32_t(kernel_ids.size()));
-        if (new_kernel) {
-            table->rewards.push_back(path.reward);
-            table->extraVarTicks2.push_back(var);
-        }
-        table->paths.push_back({decisions->second, kernel->second});
-    }
-    table->decisionClasses = decision_ids.size();
-    return table;
-}
 
 DriftStats
 thetaDrift(const std::vector<double> &reference,
@@ -100,7 +49,8 @@ StreamingEstimator::StreamingEstimator(const TimingModel &model,
       noise_(model.cyclesPerTick(), options.jitterSigmaTicks),
       stepExponent_(step_exponent), forgetting_(forgetting),
       smoothing_(options.smoothing),
-      table_(PathTable::build(model, options))
+      table_(PathTable::build(model, options,
+                              std::vector<double>(model.paramCount(), 0.5)))
 {
     init(options, step_exponent, forgetting);
 }
@@ -142,7 +92,6 @@ namespace {
  *  estimators sharing a table may run on any shard worker. */
 struct EStepScratch
 {
-    std::vector<double> logs;     //!< log theta_b, then log(1 - theta_b)
     std::vector<double> prior;    //!< per decision-count class
     std::vector<double> kernel;   //!< per kernel class
     std::vector<double> expected; //!< decision counts, a decisionCounts row
@@ -174,25 +123,7 @@ StreamingEstimator::observe(int64_t duration_ticks)
     const size_t row = 2 * params;
     EStepScratch &scratch = t_scratch;
 
-    scratch.logs.resize(row);
-    for (size_t b = 0; b < params; ++b) {
-        double p = std::clamp(theta_[b], 1e-12, 1.0 - 1e-12);
-        scratch.logs[b] = std::log(p);
-        scratch.logs[params + b] = std::log1p(-p);
-    }
-    // PathFeatures::logProb, term for term.
-    scratch.prior.resize(table.decisionClasses);
-    for (size_t c = 0; c < table.decisionClasses; ++c) {
-        const double *counts = &table.decisionCounts[c * row];
-        double lp = 0.0;
-        for (size_t b = 0; b < params; ++b) {
-            if (counts[b] > 0)
-                lp += counts[b] * scratch.logs[b];
-            if (counts[params + b] > 0)
-                lp += counts[params + b] * scratch.logs[params + b];
-        }
-        scratch.prior[c] = std::exp(lp);
-    }
+    table.decisionPriors(theta_, scratch.prior);
     scratch.kernel.resize(table.kernelClasses());
     for (size_t k = 0; k < table.kernelClasses(); ++k)
         scratch.kernel[k] = noise_.prob(duration_ticks, table.rewards[k],

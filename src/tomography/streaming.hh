@@ -5,7 +5,7 @@
  * The batch estimators need the full duration trace in memory. A sink
  * node receiving one timestamp report per packet wants to fold each
  * observation in as it arrives and keep only O(branches) state per
- * estimator, next to one immutable path table per procedure.
+ * estimator, next to one immutable PathTable per procedure.
  * This estimator implements stochastic-approximation EM (Cappe &
  * Moulines style): per observation it computes path responsibilities
  * under the current theta and blends the resulting decision counts
@@ -22,56 +22,9 @@
 
 #include "tomography/estimator.hh"
 #include "tomography/noise_kernel.hh"
+#include "tomography/path_table.hh"
 
 namespace ct::tomography {
-
-/**
- * The latent path set one streaming estimator ranges over, grouped so
- * the E-step does its transcendental work once per class of paths
- * instead of once per path: a path's prior depends only on its
- * branch-decision counts, and its measurement kernel only on its
- * (reward, extra variance) pair. crc16's 1,022 paths at 8 cycles per
- * tick carry 54 classes of each.
- *
- * A pure function of (model, options.pathEnum), immutable after
- * build(), so every estimator of the same procedure — on any thread —
- * shares one table: at fleet scale (one estimator per (mote,
- * procedure), 10^5..10^6 motes) this turns the per-estimator
- * construction cost from a full path enumeration into one handle, and
- * the per-estimator footprint into the mutable state alone.
- */
-struct PathTable
-{
-    /** One latent path's two class ids. */
-    struct Path
-    {
-        uint32_t decisions; //!< decision-count class
-        uint32_t kernel;    //!< kernel class
-    };
-
-    /** Latent paths in enumeration order, the order E-step sums run in. */
-    std::vector<Path> paths;
-    /**
-     * Decision-count classes, one row of 2 * paramCount whole numbers
-     * per class: how often its paths take parameter b's branch (column
-     * b) and fall through it (column paramCount + b).
-     */
-    std::vector<double> decisionCounts;
-    size_t decisionClasses = 0;
-    /** Kernel classes: distinct (reward in cycles, extra variance in
-     *  ticks^2) pairs. */
-    std::vector<double> rewards;
-    std::vector<double> extraVarTicks2;
-    size_t paramCount = 0;
-
-    size_t pathCount() const { return paths.size(); }
-    size_t kernelClasses() const { return rewards.size(); }
-
-    /** Enumerate under the agnostic prior; fatal() when no path fits
-     *  the enumeration bounds (same contract as the estimator ctor). */
-    static std::shared_ptr<const PathTable>
-    build(const TimingModel &model, const EstimatorOptions &options);
-};
 
 /**
  * The complete mutable state of a StreamingEstimator, exposed so a
@@ -140,8 +93,9 @@ class StreamingEstimator
     /**
      * Same, but adopt an already-built @p table instead of enumerating
      * paths again — the fleet-scale constructor. @p table must have
-     * been built for the same (model, options) pair; paramCount is
-     * checked, deeper mismatches are the caller's contract.
+     * been built for the same (model, options) pair under the agnostic
+     * prior (every theta 0.5); paramCount is checked, deeper mismatches
+     * are the caller's contract.
      */
     StreamingEstimator(const TimingModel &model,
                        std::shared_ptr<const PathTable> table,

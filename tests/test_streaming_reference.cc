@@ -604,7 +604,8 @@ TEST(StreamingReference, ThreadsSharingOneTableMatchSerial)
             p.workload.entryProc(), p.lowered.procs[p.workload.entry],
             sim.costs, sim.policy, sim.cyclesPerTick, no_callees,
             sim::nestedProbeCycles(sim.costs));
-        p.table = PathTable::build(*p.model, {});
+        p.table = PathTable::build(
+            *p.model, {}, std::vector<double>(p.model->paramCount(), 0.5));
         auto inputs = p.workload.makeInputs(5);
         sim::Simulator simulator(*p.workload.module, p.lowered, sim,
                                  *inputs, 6);

@@ -163,7 +163,8 @@ TEST(Streaming, PathTableFoldsPathsIntoFewClasses)
     // per tick share 54 decision-count vectors and 54 (reward, extra
     // variance) pairs.
     StreamFixture fx("crc16", 10, 8);
-    auto table = PathTable::build(*fx.model, {});
+    auto table = PathTable::build(
+        *fx.model, {}, std::vector<double>(fx.model->paramCount(), 0.5));
     EXPECT_EQ(table->pathCount(), 1022u);
     EXPECT_EQ(table->decisionClasses, 54u);
     EXPECT_EQ(table->kernelClasses(), 54u);
