@@ -54,9 +54,8 @@ encodeSnapshotImage(const Snapshot &snapshot)
     body.slots = snapshot.slots;
     auto body_bytes = store::encodeCheckpoint(body);
 
-    std::vector<uint8_t> out;
+    std::vector<uint8_t> out(kSnapshotMagic, kSnapshotMagic + 8);
     out.reserve(kSnapshotHeaderBytes + body_bytes.size() + 2);
-    out.insert(out.end(), kSnapshotMagic, kSnapshotMagic + 8);
     store::putU32(out, kSnapshotVersion);
     store::putU64(out, snapshot.id);
     store::putU16(out, snapshot.sourceNode);

@@ -160,7 +160,9 @@ TEST(PropPacketNet, CollectorDeliversInOrderUnderReorderAndDup)
             }
             shuffle(rng, frames);
 
-            net::SinkCollector collector({.skipAheadPackets = 0});
+            net::CollectorConfig config;
+            config.skipAheadPackets = 0;
+            net::SinkCollector collector(config);
             std::vector<trace::TimingRecord> sunk;
             collector.setRecordSink(
                 [&](uint16_t m, const trace::TimingRecord &r) {

@@ -476,7 +476,7 @@ std::string
 hexDump(const std::vector<uint8_t> &bytes)
 {
     std::string out;
-    char buf[16];
+    char buf[24];
     for (size_t i = 0; i < bytes.size(); ++i) {
         if (i % 16 == 0) {
             std::snprintf(buf, sizeof buf, "%04zx:", i);

@@ -193,8 +193,9 @@ TEST(Pipeline, EnergyOutcomesPopulated)
     for (const auto &out : result.outcomes)
         EXPECT_GT(out.energyMicrojoules, 0.0) << out.name;
     // Improvements in cycles and energy point the same way.
-    if (result.cyclesImprovementPct() > 0.1)
+    if (result.cyclesImprovementPct() > 0.1) {
         EXPECT_GT(result.energyImprovementPct(), 0.0);
+    }
 }
 
 TEST(Pipeline, MultiProcWorkloadEstimatesCallees)

@@ -88,9 +88,10 @@ TEST(Pgo, RankingGateHonorsFloorAndCap)
     const double baseline = engine.baselineCyclesPerEvent();
     for (size_t i = 0; i < all.size(); ++i) {
         EXPECT_GT(all[i].deltaCyclesPerEvent, 0.0);
-        if (i)
+        if (i) {
             EXPECT_GE(all[i - 1].deltaCyclesPerEvent,
                       all[i].deltaCyclesPerEvent);
+        }
     }
 
     // A floor above the best candidate's share admits nobody.

@@ -61,8 +61,9 @@ TEST_P(RandomCfg, EntryDominatesEverything)
     auto idom = ir::immediateDominators(proc);
     for (ir::BlockId id = 0; id < proc.blockCount(); ++id) {
         EXPECT_TRUE(ir::dominates(idom, proc.entry(), id));
-        if (id != proc.entry())
+        if (id != proc.entry()) {
             EXPECT_NE(idom[id], id);
+        }
     }
 }
 

@@ -296,7 +296,8 @@ TEST(WireFormatFuzz, RandomByteStringsFailCleanly)
         for (auto &b : bytes)
             b = uint8_t(rng.below(256));
         TimingTrace decoded;
-        if (!decodeTrace(bytes, decoded))
+        if (!decodeTrace(bytes, decoded)) {
             EXPECT_TRUE(decoded.empty());
+        }
     }
 }

@@ -82,8 +82,9 @@ TEST_P(WorkloadStructure, RegistersStayBelowReservedRange)
     for (const auto &proc : workload_.module->procedures()) {
         for (const auto &bb : proc.blocks()) {
             for (const auto &inst : bb.insts) {
-                if (writesReg(inst.op))
+                if (writesReg(inst.op)) {
                     EXPECT_LT(inst.rd, 13) << proc.name();
+                }
             }
             if (bb.term.isBranch()) {
                 EXPECT_LT(bb.term.lhs, 13);
