@@ -1,7 +1,7 @@
 /**
  * @file
  * E9 — google-benchmark microbenchmarks of the harness itself: mote
- * simulation throughput, absorbing-chain math, path enumeration, and
+ * simulation throughput, absorbing-chain math, path-table builds, and
  * the estimators. These are not paper results; they document that the
  * reproduction is fast enough to sweep.
  */
@@ -10,6 +10,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -17,9 +18,11 @@
 
 #include "api/pipeline.hh"
 #include "exec/thread_pool.hh"
-#include "markov/paths.hh"
+#include "markov/chain.hh"
 #include "sim/machine.hh"
+#include "tomography/em_estimator.hh"
 #include "tomography/estimator.hh"
+#include "tomography/path_table.hh"
 #include "tomography/streaming.hh"
 #include "workloads/workload.hh"
 
@@ -65,24 +68,50 @@ BM_FundamentalMatrix(benchmark::State &state)
 }
 BENCHMARK(BM_FundamentalMatrix)->Arg(8)->Arg(16)->Arg(32);
 
+/**
+ * PathTable::build on crc16 at 4 cycles per tick: the path enumeration
+ * and class folding that every estimator and every recovered estimator
+ * bank pays, under the agnostic prior (Linear, Streaming, EM's first
+ * phase) and under the clamped theta EM's second phase re-enumerates
+ * around. Label = path count.
+ */
 void
-BM_PathEnumerationCrc16(benchmark::State &state)
+BM_PathEnumerationCrc16(benchmark::State &state, bool phase2)
 {
     auto workload = workloads::makeCrc16();
+    sim::SimConfig config;
+    config.cyclesPerTick = 4;
     auto lowered = sim::lowerModule(*workload.module);
     std::vector<double> no_callees(workload.module->procedureCount(), 0.0);
     tomography::TimingModel model(
-        workload.entryProc(), lowered.procs[workload.entry],
-        sim::telosCostModel(), sim::PredictPolicy::NotTaken, 4, no_callees,
-        4.0);
+        workload.entryProc(), lowered.procs[workload.entry], config.costs,
+        config.policy, config.cyclesPerTick, no_callees,
+        sim::nestedProbeCycles(config.costs));
     std::vector<double> theta(model.paramCount(), 0.5);
-    auto chain = model.chainFor(theta);
-    for (auto _ : state) {
-        auto paths = markov::enumeratePaths(chain, 0);
-        benchmark::DoNotOptimize(paths.paths.size());
+    if (phase2) {
+        auto inputs = workload.makeInputs(1);
+        sim::Simulator simulator(*workload.module, lowered, config, *inputs,
+                                 2);
+        auto durations = simulator.run(workload.entry, 2000)
+                             .trace.durations(workload.entry);
+        tomography::EstimatorOptions phase1;
+        phase1.reenumerate = false;
+        theta = tomography::EmPathEstimator(phase1)
+                    .estimate(model, durations)
+                    .theta;
+        for (double &p : theta)
+            p = std::clamp(p, 0.05, 0.95);
     }
+    size_t paths = 0;
+    for (auto _ : state) {
+        auto table = tomography::PathTable::build(model, {}, theta);
+        paths = table->pathCount();
+        benchmark::DoNotOptimize(paths);
+    }
+    state.SetLabel(std::to_string(paths) + " paths");
 }
-BENCHMARK(BM_PathEnumerationCrc16);
+BENCHMARK_CAPTURE(BM_PathEnumerationCrc16, agnostic, false);
+BENCHMARK_CAPTURE(BM_PathEnumerationCrc16, phase2, true);
 
 void
 BM_Estimator(benchmark::State &state)
