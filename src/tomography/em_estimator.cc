@@ -22,9 +22,10 @@ namespace {
  * One full EM run over a fixed path table. Returns iterations.
  *
  * exp runs once per decision class and NoiseKernel::prob once per
- * (distinct duration, kernel class) pair; the sums still run over every
- * path in table order, so each adds the same doubles in the same order
- * a per-path E-step would (tests/test_streaming_reference.cc keeps one).
+ * (distinct duration, kernel class) pair, but the sums run over every
+ * path in table order: each adds the same doubles in the same order as
+ * a per-path E-step, so the result is bitwise that of the per-path
+ * reference in tests/test_streaming_reference.cc.
  */
 size_t
 runEm(const PathTable &table, const DurationHistogram &histogram,

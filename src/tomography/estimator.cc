@@ -1,8 +1,5 @@
 #include "tomography/estimator.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "tomography/em_estimator.hh"
 #include "tomography/linear_estimator.hh"
 #include "tomography/moment_estimator.hh"

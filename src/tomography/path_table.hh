@@ -8,8 +8,8 @@
  * a path's prior depends only on its branch-decision counts, and its
  * measurement kernel only on its (reward, extra variance) pair.
  * crc16's 1,022 paths at 8 cycles per tick carry 54 classes of each.
- * Sums that must match a per-path computation bit for bit still run
- * over the paths, in enumeration order, reading the class values.
+ * Sums over paths run in enumeration order and read the class values,
+ * so they add the same doubles in the same order as a per-path loop.
  */
 
 #ifndef CT_TOMOGRAPHY_PATH_TABLE_HH
