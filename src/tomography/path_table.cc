@@ -60,12 +60,12 @@ PathTable::build(const TimingModel &model, const EstimatorOptions &options,
     // Decision classes are keyed on the whole count vector, so members
     // with different class ids differ in some decision.
     for (auto &cls : markov::groupByReward(set, 1e-6)) {
-        RewardClass out{cls.reward, cls.prob, std::move(cls.members)};
-        for (size_t member : out.members)
-            out.aliased = out.aliased ||
-                          table->paths[member].decisions !=
-                              table->paths[out.members[0]].decisions;
-        table->rewardClasses.push_back(std::move(out));
+        const uint32_t first = table->paths[cls.members[0]].decisions;
+        bool aliased = std::any_of(
+            cls.members.begin(), cls.members.end(),
+            [&](size_t m) { return table->paths[m].decisions != first; });
+        table->rewardClasses.push_back(
+            {cls.reward, cls.prob, std::move(cls.members), aliased});
     }
     return table;
 }
