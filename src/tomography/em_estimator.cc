@@ -22,32 +22,42 @@ namespace {
  * One full EM run over a fixed path table. Returns iterations.
  *
  * exp runs once per decision class and NoiseKernel::prob once per
- * (distinct duration, kernel class) pair, but the sums run over every
- * path in table order: each adds the same doubles in the same order as
- * a per-path E-step, so the result is bitwise that of the per-path
- * reference in tests/test_streaming_reference.cc.
+ * (distinct duration, kernel class of its tick row) pair. The sums run
+ * over each duration's tick row in path order: a path outside the row
+ * adds prior * 0 = +0.0, so each sum adds the same doubles in the same
+ * order as a per-path E-step, and the result is bitwise that of the
+ * per-path reference in tests/test_streaming_reference.cc.
  */
 size_t
 runEm(const PathTable &table, const DurationHistogram &histogram,
       const NoiseKernel &noise, const EstimatorOptions &options,
       std::vector<double> &theta, double &log_likelihood)
 {
-    const size_t paths = table.pathCount();
     const size_t params = theta.size();
     const size_t row = 2 * params;
 
-    // Likelihood matrix, row-major: likelihood[o * kernels + k] =
-    // P(histogram.values[o] | kernel class k).
+    // Each distinct duration's tick row, and the likelihood matrix,
+    // row-major: likelihood[o * kernels + k] = P(histogram.values[o] |
+    // kernel class k), written for the row's kernel classes, the only
+    // ones its paths read. Live paths lie in some row, ascending: no
+    // other path ever gets responsibility.
     const size_t kernels = table.kernelClasses();
+    std::vector<PathTable::TickRow> rows;
     std::vector<double> likelihood(histogram.size() * kernels);
-    for (size_t o = 0; o < histogram.size(); ++o)
-        for (size_t k = 0; k < kernels; ++k)
+    std::vector<uint32_t> live;
+    for (size_t o = 0; o < histogram.size(); ++o) {
+        rows.push_back(table.row(histogram.values[o]));
+        for (uint32_t k : rows[o].kernels)
             likelihood[o * kernels + k] =
                 noise.prob(histogram.values[o], table.rewards[k],
                            table.extraVarTicks2[k]);
+        live.insert(live.end(), rows[o].paths.begin(), rows[o].paths.end());
+    }
+    std::sort(live.begin(), live.end());
+    live.erase(std::unique(live.begin(), live.end()), live.end());
 
     std::vector<double> prior;
-    std::vector<double> path_resp(paths, 0.0);
+    std::vector<double> path_resp(table.pathCount(), 0.0);
     std::vector<double> expected(row, 0.0); //!< a decisionCounts row
 
     // Convergence telemetry: one sample per iteration when metrics are
@@ -67,7 +77,8 @@ runEm(const PathTable &table, const DurationHistogram &histogram,
         int64_t iter_start_us = tel_ll ? obs::monotonicMicros() : 0;
         table.decisionPriors(theta, prior);
 
-        std::fill(path_resp.begin(), path_resp.end(), 0.0);
+        for (uint32_t p : live)
+            path_resp[p] = 0.0;
         std::fill(expected.begin(), expected.end(), 0.0);
         log_likelihood = 0.0;
 
@@ -80,8 +91,10 @@ runEm(const PathTable &table, const DurationHistogram &histogram,
             const double *krow = &likelihood[o * kernels];
             const double weight = histogram.weights[o];
             double denom = 0.0;
-            for (const auto &path : table.paths)
+            for (uint32_t p : rows[o].paths) {
+                const auto &path = table.paths[p];
                 denom += prior[path.decisions] * krow[path.kernel];
+            }
             if (denom <= 0.0) {
                 // Observation outside the modelled support (dropped path
                 // or extreme noise): skip it rather than poison theta.
@@ -90,13 +103,13 @@ runEm(const PathTable &table, const DurationHistogram &histogram,
             }
             log_likelihood += weight * std::log(denom);
             double scale = weight / denom;
-            for (size_t p = 0; p < paths; ++p) {
+            for (uint32_t p : rows[o].paths) {
                 const auto &path = table.paths[p];
                 path_resp[p] += prior[path.decisions] * krow[path.kernel] *
                                 scale;
             }
         }
-        for (size_t p = 0; p < paths; ++p) {
+        for (uint32_t p : live) {
             double resp = path_resp[p];
             if (resp <= 0.0)
                 continue;

@@ -45,8 +45,10 @@ class NoiseKernel
                    double extra_var_ticks2 = 0.0) const;
 
     /**
-     * Smallest window [lo, hi] of tick values whose total probability
-     * is >= 1 - 1e-6 for the given duration (pruning helper).
+     * Window [lo, hi] of tick values outside which prob() is exactly
+     * +0.0 for the given duration: the two quantization ticks, widened
+     * by the ceil(6 sigma) noise cut on each side when sigma > 0. The
+     * path table's tick index relies on that exactness.
      */
     std::pair<int64_t, int64_t> support(double true_cycles,
                                         double extra_var_ticks2 = 0.0) const;

@@ -4,10 +4,68 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <numeric>
 
+#include "tomography/noise_kernel.hh"
 #include "util/logging.hh"
 
 namespace ct::tomography {
+
+namespace {
+
+/**
+ * Path rows over ticks [lo, lo + count): every path goes into each row
+ * its kernel class's support [first, last] covers, in path order.
+ */
+PathTable::Rows
+pathRows(const PathTable &table,
+         const std::vector<std::pair<int64_t, int64_t>> &support, int64_t lo,
+         size_t count)
+{
+    PathTable::Rows rows;
+    rows.start.assign(count + 1, 0);
+    for (const auto &path : table.paths) {
+        auto [first, last] = support[path.kernel];
+        for (int64_t t = first; t <= last; ++t)
+            ++rows.start[size_t(t - lo) + 1];
+    }
+    std::partial_sum(rows.start.begin(), rows.start.end(),
+                     rows.start.begin());
+    rows.ids.resize(rows.start.back());
+    std::vector<uint32_t> next(rows.start.begin(), rows.start.end() - 1);
+    for (uint32_t p = 0; p < table.pathCount(); ++p) {
+        auto [first, last] = support[table.paths[p].kernel];
+        for (int64_t t = first; t <= last; ++t)
+            rows.ids[next[size_t(t - lo)]++] = p;
+    }
+    return rows;
+}
+
+/** Per row of @p path_rows, the distinct @p cls ids of its paths in
+ *  order of first appearance; @p classes bounds the ids. */
+PathTable::Rows
+classRows(const PathTable &table, const PathTable::Rows &path_rows,
+          uint32_t PathTable::Path::*cls, size_t classes)
+{
+    PathTable::Rows rows;
+    const size_t count = path_rows.start.size() - 1;
+    rows.start.reserve(count + 1);
+    rows.start.push_back(0);
+    std::vector<size_t> seen_in(classes, count); //!< last row, or none
+    for (size_t r = 0; r < count; ++r) {
+        for (uint32_t p : path_rows[r]) {
+            const uint32_t c = table.paths[p].*cls;
+            if (seen_in[c] != r) {
+                seen_in[c] = r;
+                rows.ids.push_back(c);
+            }
+        }
+        rows.start.push_back(uint32_t(rows.ids.size()));
+    }
+    return rows;
+}
+
+} // namespace
 
 std::shared_ptr<const PathTable>
 PathTable::build(const TimingModel &model, const EstimatorOptions &options,
@@ -67,12 +125,48 @@ PathTable::build(const TimingModel &model, const EstimatorOptions &options,
         table->rewardClasses.push_back(
             {cls.reward, cls.prob, std::move(cls.members), aliased});
     }
+
+    // Tick index: the support of each kernel class under the kernel
+    // every estimator with these options builds.
+    const NoiseKernel noise(model.cyclesPerTick(), options.jitterSigmaTicks);
+    table->cyclesPerTick = noise.cyclesPerTick();
+    table->jitterSigmaTicks = noise.jitterSigmaTicks();
+    std::vector<std::pair<int64_t, int64_t>> support;
+    support.reserve(table->kernelClasses());
+    for (size_t k = 0; k < table->kernelClasses(); ++k)
+        support.push_back(
+            noise.support(table->rewards[k], table->extraVarTicks2[k]));
+    int64_t lo = support[0].first;
+    int64_t hi = support[0].second;
+    for (auto [first, last] : support) {
+        lo = std::min(lo, first);
+        hi = std::max(hi, last);
+    }
+    table->tickLo = lo;
+    table->tickCount = size_t(hi - lo) + 1;
+    table->tickPaths = pathRows(*table, support, lo, table->tickCount);
+    table->tickDecisions =
+        classRows(*table, table->tickPaths, &Path::decisions,
+                  table->decisionClasses);
+    table->tickKernels = classRows(*table, table->tickPaths, &Path::kernel,
+                                   table->kernelClasses());
     return table;
 }
 
+PathTable::TickRow
+PathTable::row(int64_t ticks) const
+{
+    // Unsigned difference: no overflow for any pair of int64 values.
+    if (ticks < tickLo || uint64_t(ticks) - uint64_t(tickLo) >= tickCount)
+        return {};
+    const size_t r = size_t(uint64_t(ticks) - uint64_t(tickLo));
+    return {tickPaths[r], tickDecisions[r], tickKernels[r]};
+}
+
 void
-PathTable::decisionPriors(const std::vector<double> &theta,
-                          std::vector<double> &prior) const
+PathTable::decisionPriors(
+    const std::vector<double> &theta, std::vector<double> &prior,
+    std::optional<std::span<const uint32_t>> classes) const
 {
     CT_ASSERT(theta.size() == paramCount, "PathTable: theta size ",
               theta.size(), " != param count ", paramCount);
@@ -87,7 +181,7 @@ PathTable::decisionPriors(const std::vector<double> &theta,
         logs[params + b] = std::log1p(-p);
     }
     prior.resize(decisionClasses);
-    for (size_t c = 0; c < decisionClasses; ++c) {
+    auto class_prior = [&](size_t c) {
         const double *counts = &decisionCounts[c * 2 * params];
         double lp = 0.0;
         for (size_t b = 0; b < params; ++b) {
@@ -97,7 +191,13 @@ PathTable::decisionPriors(const std::vector<double> &theta,
                 lp += counts[params + b] * logs[params + b];
         }
         prior[c] = std::exp(lp);
-    }
+    };
+    if (classes)
+        for (uint32_t c : *classes)
+            class_prior(c);
+    else
+        for (size_t c = 0; c < decisionClasses; ++c)
+            class_prior(c);
 }
 
 DurationHistogram::DurationHistogram(const std::vector<int64_t> &durations)

@@ -69,6 +69,14 @@ StreamingEstimator::StreamingEstimator(const TimingModel &model,
     CT_ASSERT(table_->paramCount == model.paramCount(),
               "streaming estimator: path table parameter count mismatch "
               "for '", model.proc().name(), "'");
+    // The tick index is only exact under the kernel it was built for.
+    CT_ASSERT(table_->cyclesPerTick == noise_.cyclesPerTick() &&
+                  table_->jitterSigmaTicks == noise_.jitterSigmaTicks(),
+              "streaming estimator: path table indexed at ",
+              table_->cyclesPerTick, " cycles/tick and jitter ",
+              table_->jitterSigmaTicks, " for '", model.proc().name(),
+              "', estimator uses ", noise_.cyclesPerTick(), " and ",
+              noise_.jitterSigmaTicks());
     init(options, step_exponent, forgetting);
 }
 
@@ -109,29 +117,33 @@ StreamingEstimator::observe(int64_t duration_ticks)
         return;
     }
 
-    // E-step for this single observation, folded over path classes:
-    // log, exp and NoiseKernel::prob run once per parameter or class;
-    // only the sums run over paths. Each path's term is the same product
-    // of the same doubles a per-path E-step computes, and each sum adds
-    // the terms in path order, so the state is bitwise identical to the
-    // per-path form tests/test_streaming_reference.cc keeps as the
-    // reference. The decision-count sums skip paths whose kernel is
-    // exactly zero: such a path adds a zero to a sum that starts at +0.0
-    // and never becomes -0.0, which changes nothing.
+    // E-step for this single observation, over the duration's tick row:
+    // log, exp and NoiseKernel::prob run once per parameter or class of
+    // the row; only the sums run over its paths. Each path's term is the
+    // same product of the same doubles a per-path E-step computes, and
+    // each sum adds the terms in path order, so the state is bitwise
+    // identical to the per-path form tests/test_streaming_reference.cc
+    // keeps as the reference. Paths outside the row, and in it with a
+    // kernel of exactly zero, would add a zero to a sum that starts at
+    // +0.0 and never becomes -0.0, which changes nothing. A duration
+    // outside the index has an empty row and counts as an outlier.
     const PathTable &table = *table_;
+    const PathTable::TickRow ticks = table.row(duration_ticks);
     const size_t params = theta_.size();
     const size_t row = 2 * params;
     EStepScratch &scratch = t_scratch;
 
-    table.decisionPriors(theta_, scratch.prior);
+    table.decisionPriors(theta_, scratch.prior, ticks.decisions);
     scratch.kernel.resize(table.kernelClasses());
-    for (size_t k = 0; k < table.kernelClasses(); ++k)
+    for (uint32_t k : ticks.kernels)
         scratch.kernel[k] = noise_.prob(duration_ticks, table.rewards[k],
                                         table.extraVarTicks2[k]);
 
     double denom = 0.0;
-    for (const auto &path : table.paths)
+    for (uint32_t p : ticks.paths) {
+        const auto &path = table.paths[p];
         denom += scratch.prior[path.decisions] * scratch.kernel[path.kernel];
+    }
     ++count_;
     if (denom <= 0.0) {
         ++outliers_;
@@ -139,7 +151,8 @@ StreamingEstimator::observe(int64_t duration_ticks)
     }
 
     scratch.expected.assign(row, 0.0);
-    for (const auto &path : table.paths) {
+    for (uint32_t p : ticks.paths) {
+        const auto &path = table.paths[p];
         double kernel = scratch.kernel[path.kernel];
         if (kernel == 0.0)
             continue;

@@ -94,8 +94,9 @@ class StreamingEstimator
      * Same, but adopt an already-built @p table instead of enumerating
      * paths again — the fleet-scale constructor. @p table must have
      * been built for the same (model, options) pair under the agnostic
-     * prior (every theta 0.5); paramCount is checked, deeper mismatches
-     * are the caller's contract.
+     * prior (every theta 0.5). paramCount and the tick index's cycles
+     * per tick and jitter are checked; deeper mismatches are the
+     * caller's contract.
      */
     StreamingEstimator(const TimingModel &model,
                        std::shared_ptr<const PathTable> table,

@@ -415,12 +415,17 @@ struct RandomProcedure
     }
 };
 
-/** A duration near one of @p rewards, or now and then an out-of-range
- *  one (negative, or far beyond every path). */
+/** A duration near one of @p rewards, or now and then one just outside
+ *  @p table's tick index or far out of range (negative, or far beyond
+ *  every path). */
 int64_t
 randomDuration(Rng &stream, const std::vector<double> &rewards,
-               uint64_t cycles_per_tick)
+               uint64_t cycles_per_tick, const PathTable &table)
 {
+    if (stream.bernoulli(0.05))
+        return stream.bernoulli(0.5)
+                   ? table.tickLo - 1
+                   : table.tickLo + int64_t(table.tickCount);
     if (stream.bernoulli(0.05))
         return stream.bernoulli(0.5) ? -stream.range(1, 50)
                                      : 1'000'000 + stream.range(0, 9);
@@ -482,7 +487,8 @@ checkStreamCase(const StreamCase &c)
     Rng stream(c.streamSeed);
     for (size_t i = 0; i < c.observations; ++i) {
         int64_t ticks = randomDuration(stream, reference.rewards(),
-                                       c.proc.cyclesPerTick);
+                                       c.proc.cyclesPerTick,
+                                       *streaming.table());
         reference.observe(ticks);
         streaming.observe(ticks);
         auto diff = firstBitDifference(streaming.snapshot(),
@@ -545,11 +551,12 @@ checkBatchCase(const BatchCase &c)
                                 options.pathEnum)
              .paths)
         rewards.push_back(path.reward);
+    auto table = PathTable::build(*proc.model, options, agnostic);
     Rng stream(c.streamSeed);
     std::vector<int64_t> durations;
     for (size_t i = 0; i < c.observations; ++i)
         durations.push_back(
-            randomDuration(stream, rewards, c.proc.cyclesPerTick));
+            randomDuration(stream, rewards, c.proc.cyclesPerTick, *table));
 
     auto expected = referenceEm(*proc.model, durations, options);
     auto actual = EmPathEstimator(options).estimate(*proc.model, durations);
@@ -560,7 +567,92 @@ checkBatchCase(const BatchCase &c)
     return std::nullopt;
 }
 
+ProcedureCase
+genIndexCase(Rng &rng)
+{
+    ProcedureCase c = genProcedureCase(rng);
+    c.calleeMean = rng.uniform(0.0, 120.0);
+    c.calleeVar = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 900.0);
+    return c;
+}
+
+/** The distinct ids of @p ids, in order of first appearance. */
+std::vector<uint32_t>
+distinct(const std::vector<uint32_t> &ids)
+{
+    std::vector<uint32_t> out;
+    for (uint32_t id : ids)
+        if (std::find(out.begin(), out.end(), id) == out.end())
+            out.push_back(id);
+    return out;
+}
+
+/**
+ * The agnostic table's tick index against the paths enumerated here,
+ * each with its own reward, variance and NoiseKernel::support, over the
+ * index and three ticks on each side of it.
+ */
+std::optional<std::string>
+checkIndexCase(const ProcedureCase &c)
+{
+    RandomProcedure proc(c);
+    EstimatorOptions options;
+    options.jitterSigmaTicks = c.jitter;
+    std::vector<double> agnostic(proc.model->paramCount(), 0.5);
+    auto table = PathTable::build(*proc.model, options, agnostic);
+    auto set = markov::enumeratePaths(proc.model->chainFor(agnostic),
+                                      proc.program.proc().entry(),
+                                      options.pathEnum);
+    if (set.paths.size() != table->pathCount())
+        return "path count " + std::to_string(table->pathCount()) +
+               " != enumerated " + std::to_string(set.paths.size());
+
+    const NoiseKernel noise(c.cyclesPerTick, c.jitter);
+    const double tick = double(c.cyclesPerTick);
+    std::vector<double> rewards, vars;
+    std::vector<std::pair<int64_t, int64_t>> support;
+    for (const auto &path : set.paths) {
+        rewards.push_back(path.reward);
+        vars.push_back(proc.model->pathVarianceCycles(path.states) /
+                       (tick * tick));
+        support.push_back(noise.support(rewards.back(), vars.back()));
+    }
+
+    const int64_t end = table->tickLo + int64_t(table->tickCount);
+    for (int64_t t = table->tickLo - 3; t < end + 3; ++t) {
+        const auto row = table->row(t);
+        const std::string at = " at tick " + std::to_string(t);
+        std::vector<uint32_t> paths, decisions, kernels;
+        for (uint32_t p = 0; p < set.paths.size(); ++p) {
+            bool in_support = support[p].first <= t && t <= support[p].second;
+            if (in_support) {
+                paths.push_back(p);
+                decisions.push_back(table->paths[p].decisions);
+                kernels.push_back(table->paths[p].kernel);
+            } else if (noise.prob(t, rewards[p], vars[p]) != 0.0) {
+                return "path " + std::to_string(p) +
+                       " has a nonzero kernel outside its support" + at;
+            }
+        }
+        if (!std::ranges::equal(row.paths, paths))
+            return "row paths differ from the supports" + at;
+        if (!std::ranges::equal(row.decisions, distinct(decisions)))
+            return "row decision classes differ" + at;
+        if (!std::ranges::equal(row.kernels, distinct(kernels)))
+            return "row kernel classes differ" + at;
+    }
+    return std::nullopt;
+}
+
 } // namespace
+
+TEST(StreamingReference, TickRowsHoldEveryPathWithNonzeroKernel)
+{
+    CT_EXPECT_PROP(check::forAll<ProcedureCase>(
+        "StreamingReference.TickRowsHoldEveryPathWithNonzeroKernel",
+        genIndexCase, checkIndexCase, nullptr, showProcedureCase,
+        {.iterations = 60}));
+}
 
 TEST(StreamingReference, MatchesPerPathReferenceBitForBit)
 {
@@ -582,14 +674,17 @@ TEST(StreamingReference, ThreadsSharingOneTableMatchSerial)
     // Four threads, each with its own estimators over one shared crc16
     // table and one shared event_dispatch table (the sink's fleet
     // shape), interleaving the two so per-thread scratch is resized
-    // between tables of different sizes. Each must end where the same
+    // between tables of different sizes. A table's tick index depends
+    // on the jitter, so each program has one table per jitter, shared
+    // by the two threads that use it. Each must end where the same
     // stream ends on one thread.
+    constexpr double kJitters[2] = {0.0, 0.7};
     struct Program
     {
         workloads::Workload workload;
         sim::LoweredModule lowered;
         std::unique_ptr<TimingModel> model;
-        std::shared_ptr<const PathTable> table;
+        std::shared_ptr<const PathTable> tables[2]; //!< per kJitters
         std::vector<int64_t> durations;
     };
     sim::SimConfig sim;
@@ -604,8 +699,13 @@ TEST(StreamingReference, ThreadsSharingOneTableMatchSerial)
             p.workload.entryProc(), p.lowered.procs[p.workload.entry],
             sim.costs, sim.policy, sim.cyclesPerTick, no_callees,
             sim::nestedProbeCycles(sim.costs));
-        p.table = PathTable::build(
-            *p.model, {}, std::vector<double>(p.model->paramCount(), 0.5));
+        for (size_t j = 0; j < 2; ++j) {
+            EstimatorOptions options;
+            options.jitterSigmaTicks = kJitters[j];
+            p.tables[j] = PathTable::build(
+                *p.model, options,
+                std::vector<double>(p.model->paramCount(), 0.5));
+        }
         auto inputs = p.workload.makeInputs(5);
         sim::Simulator simulator(*p.workload.module, p.lowered, sim,
                                  *inputs, 6);
@@ -617,11 +717,11 @@ TEST(StreamingReference, ThreadsSharingOneTableMatchSerial)
     constexpr size_t kThreads = 4;
     auto drive = [&](size_t t) {
         EstimatorOptions options;
-        options.jitterSigmaTicks = t % 2 ? 0.7 : 0.0;
+        options.jitterSigmaTicks = kJitters[t % 2];
         const double forgetting = t / 2 ? 0.05 : 0.0;
         std::vector<StreamingEstimator> estimators;
         for (const auto &p : programs)
-            estimators.emplace_back(*p.model, p.table, options, 0.7,
+            estimators.emplace_back(*p.model, p.tables[t % 2], options, 0.7,
                                     forgetting);
         for (size_t i = 0; i < 200; ++i)
             for (size_t e = 0; e < programs.size(); ++e) {
