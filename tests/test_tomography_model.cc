@@ -6,14 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 
+#include "check/check.hh"
 #include "ir/builder.hh"
 #include "sim/machine.hh"
 #include "stats/summary.hh"
 #include "tomography/noise_kernel.hh"
 #include "tomography/timing_model.hh"
 #include "workloads/workload.hh"
+
+#include "prop_util.hh"
 
 using namespace ct;
 using namespace ct::ir;
@@ -85,6 +90,79 @@ TEST(NoiseKernel, NegativeDurationImpossible)
 {
     NoiseKernel kernel(8);
     EXPECT_DOUBLE_EQ(kernel.prob(1, -5.0), 0.0);
+}
+
+namespace {
+
+/** One kernel and the duration whose support it is asked about. */
+struct KernelCase
+{
+    uint64_t cyclesPerTick = 1;
+    double jitter = 0.0;
+    double cycles = 0.0;
+    double extraVar = 0.0;
+};
+
+KernelCase
+genKernelCase(Rng &rng)
+{
+    KernelCase c;
+    c.cyclesPerTick = uint64_t(rng.range(1, 16));
+    c.jitter = rng.bernoulli(0.4) ? 0.0 : rng.uniform(0.0, 2.0);
+    switch (rng.below(3)) {
+    case 0: // negative: prob is zero everywhere
+        c.cycles = -rng.uniform(0.001, 500.0);
+        break;
+    case 1: // an exact multiple of the tick: one quantization tick
+        c.cycles = double(c.cyclesPerTick) * double(rng.range(0, 300));
+        break;
+    default:
+        c.cycles = rng.uniform(0.0, 5000.0);
+    }
+    c.extraVar = rng.bernoulli(0.4) ? 0.0 : rng.uniform(0.0, 50.0);
+    return c;
+}
+
+std::string
+showKernelCase(const KernelCase &c)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "{cyclesPerTick=%llu jitter=%.17g cycles=%.17g "
+                  "extraVar=%.17g}",
+                  (unsigned long long)c.cyclesPerTick, c.jitter, c.cycles,
+                  c.extraVar);
+    return buf;
+}
+
+} // namespace
+
+TEST(NoiseKernel, ProbIsExactlyZeroOutsideSupport)
+{
+    // The path table's tick index leaves out every path whose kernel
+    // class's support misses the measured tick; that adds no bit of
+    // difference only if prob() is exactly +0.0 there.
+    CT_EXPECT_PROP(check::forAll<KernelCase>(
+        "NoiseKernel.ProbIsExactlyZeroOutsideSupport", genKernelCase,
+        [](const KernelCase &c) -> std::optional<std::string> {
+            NoiseKernel kernel(c.cyclesPerTick, c.jitter);
+            auto [lo, hi] = kernel.support(c.cycles, c.extraVar);
+            for (int64_t d = 1; d <= 3; ++d)
+                for (int64_t t : {lo - d, hi + d}) {
+                    double p = kernel.prob(t, c.cycles, c.extraVar);
+                    if (std::bit_cast<uint64_t>(p) != 0) {
+                        char buf[120];
+                        std::snprintf(buf, sizeof buf,
+                                      "prob(%lld) = %.17g outside "
+                                      "[%lld, %lld]",
+                                      (long long)t, p, (long long)lo,
+                                      (long long)hi);
+                        return std::string(buf);
+                    }
+                }
+            return std::nullopt;
+        },
+        nullptr, showKernelCase, {.iterations = 2000}));
 }
 
 TEST(NoiseKernel, LogProbFloored)

@@ -176,6 +176,59 @@ TEST(Streaming, PathTableFoldsPathsIntoFewClasses)
     }
 }
 
+TEST(Streaming, PathTableTickIndexMatchesKernelSupport)
+{
+    // At jitter 0 every kernel class's support is its two quantization
+    // ticks, so the index holds each of crc16's 1,022 paths twice; the
+    // 54 kernel classes span ticks 6..22, and nothing lies outside them.
+    StreamFixture fx("crc16", 10, 8);
+    auto table = PathTable::build(
+        *fx.model, {}, std::vector<double>(fx.model->paramCount(), 0.5));
+    EXPECT_EQ(table->pathCount(), 1022u);
+    EXPECT_EQ(table->kernelClasses(), 54u);
+    EXPECT_EQ(table->cyclesPerTick, 8u);
+    EXPECT_EQ(table->jitterSigmaTicks, 0.0);
+    EXPECT_EQ(table->tickLo, 6);
+    EXPECT_EQ(table->tickCount, 17u);
+    EXPECT_EQ(table->indexEntries(), 2044u);
+
+    NoiseKernel noise(8);
+    size_t entries = 0;
+    for (size_t r = 0; r < table->tickCount; ++r) {
+        const int64_t t = table->tickLo + int64_t(r);
+        auto row = table->row(t);
+        entries += row.paths.size();
+        for (uint32_t p : row.paths) {
+            auto [lo, hi] = noise.support(
+                table->rewards[table->paths[p].kernel],
+                table->extraVarTicks2[table->paths[p].kernel]);
+            EXPECT_TRUE(lo <= t && t <= hi) << "path " << p << " tick " << t;
+        }
+    }
+    EXPECT_EQ(entries, table->indexEntries());
+    EXPECT_TRUE(table->row(table->tickLo - 1).paths.empty());
+    EXPECT_TRUE(
+        table->row(table->tickLo + int64_t(table->tickCount)).paths.empty());
+}
+
+TEST(StreamingDeathTest, SharedTableOfAnotherKernelPanics)
+{
+    // The tick index is exact only under the kernel it was built for,
+    // so a shared table indexed at another jitter or timer quantum is
+    // refused rather than silently giving wrong estimates.
+    StreamFixture fx("crc16", 10, 8);
+    auto table = PathTable::build(
+        *fx.model, {}, std::vector<double>(fx.model->paramCount(), 0.5));
+    EstimatorOptions jittered;
+    jittered.jitterSigmaTicks = 0.7;
+    EXPECT_DEATH(StreamingEstimator(*fx.model, table, jittered),
+                 "path table indexed at 8 cycles/tick and jitter 0");
+
+    StreamFixture coarse("crc16", 10, 16);
+    EXPECT_DEATH(StreamingEstimator(*coarse.model, table),
+                 "estimator uses 16 and 0");
+}
+
 TEST(Streaming, MatchesBatchEmClosely)
 {
     StreamFixture fx("surge_route");
