@@ -157,9 +157,9 @@ PathTable::TickRow
 PathTable::row(int64_t ticks) const
 {
     // Unsigned difference: no overflow for any pair of int64 values.
-    if (ticks < tickLo || uint64_t(ticks) - uint64_t(tickLo) >= tickCount)
+    const uint64_t r = uint64_t(ticks) - uint64_t(tickLo);
+    if (ticks < tickLo || r >= tickCount)
         return {};
-    const size_t r = size_t(uint64_t(ticks) - uint64_t(tickLo));
     return {tickPaths[r], tickDecisions[r], tickKernels[r]};
 }
 

@@ -128,19 +128,19 @@ StreamingEstimator::observe(int64_t duration_ticks)
     // +0.0 and never becomes -0.0, which changes nothing. A duration
     // outside the index has an empty row and counts as an outlier.
     const PathTable &table = *table_;
-    const PathTable::TickRow ticks = table.row(duration_ticks);
+    const PathTable::TickRow tick_row = table.row(duration_ticks);
     const size_t params = theta_.size();
     const size_t row = 2 * params;
     EStepScratch &scratch = t_scratch;
 
-    table.decisionPriors(theta_, scratch.prior, ticks.decisions);
+    table.decisionPriors(theta_, scratch.prior, tick_row.decisions);
     scratch.kernel.resize(table.kernelClasses());
-    for (uint32_t k : ticks.kernels)
+    for (uint32_t k : tick_row.kernels)
         scratch.kernel[k] = noise_.prob(duration_ticks, table.rewards[k],
                                         table.extraVarTicks2[k]);
 
     double denom = 0.0;
-    for (uint32_t p : ticks.paths) {
+    for (uint32_t p : tick_row.paths) {
         const auto &path = table.paths[p];
         denom += scratch.prior[path.decisions] * scratch.kernel[path.kernel];
     }
@@ -151,7 +151,7 @@ StreamingEstimator::observe(int64_t duration_ticks)
     }
 
     scratch.expected.assign(row, 0.0);
-    for (uint32_t p : ticks.paths) {
+    for (uint32_t p : tick_row.paths) {
         const auto &path = table.paths[p];
         double kernel = scratch.kernel[path.kernel];
         if (kernel == 0.0)
