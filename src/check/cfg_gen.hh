@@ -32,6 +32,7 @@
 #include "ir/builder.hh"
 #include "sim/devices.hh"
 #include "stats/rng.hh"
+#include "workloads/workload.hh"
 
 namespace ct::check {
 
@@ -60,6 +61,21 @@ struct FuzzProgram
         auto inputs = std::make_unique<sim::ScriptedInputs>(seed);
         inputs->setChannel(0, makeUniform(0.0, double(sensorRange)));
         return inputs;
+    }
+
+    /** The program as a workload, so the campaign lanes
+     *  (workloads/campaign.hh) simulate it like any paper program. */
+    workloads::Workload
+    workload() const
+    {
+        workloads::Workload out;
+        out.name = "fuzz";
+        out.module = module;
+        out.entry = entry;
+        out.makeInputs = [program = *this](uint64_t seed) {
+            return program.makeInputs(seed);
+        };
+        return out;
     }
 
     ir::Word sensorRange = 1000;

@@ -119,11 +119,10 @@ simulateScenario(const CfgScenario &scenario)
     out.program = scenario.build();
     out.config.cyclesPerTick = 1;
     out.lowered = sim::lowerModule(*out.program.module);
-    auto inputs = out.program.makeInputs(scenario.simSeed);
-    sim::Simulator simulator(*out.program.module,
-                             sim::lowerModule(*out.program.module),
-                             out.config, *inputs, scenario.simSeed ^ 0x5eed);
-    out.run = simulator.run(out.program.entry, scenario.invocations);
+    out.run = workloads::simulateMote(
+        out.program.workload(), out.lowered, out.config,
+        {.sim = scenario.simSeed ^ 0x5eed, .inputs = scenario.simSeed},
+        scenario.invocations);
     return out;
 }
 
@@ -772,12 +771,11 @@ namespace {
  * every counterfactual — the agreement is an identity, not an estimate.
  */
 std::optional<std::string>
-causalAgreementCore(
-    const ir::Module &module, ir::ProcId entry,
-    const std::function<std::unique_ptr<sim::ScriptedInputs>(uint64_t)>
-        &make_inputs,
-    uint64_t input_seed, uint64_t machine_seed, size_t invocations)
+causalAgreementCore(const workloads::Workload &workload,
+                    const workloads::MoteSeeds &seeds, size_t invocations)
 {
+    const ir::Module &module = *workload.module;
+    const ir::ProcId entry = workload.entry;
     sim::SimConfig cfg;
     cfg.timingProbes = false;
     auto lowered = sim::lowerModule(module);
@@ -785,9 +783,8 @@ causalAgreementCore(
     auto run_with = [&](std::vector<uint8_t> zero) {
         sim::SimConfig c = cfg;
         c.zeroCtrlPenalty = std::move(zero);
-        auto inputs = make_inputs(input_seed);
-        sim::Simulator simulator(module, lowered, c, *inputs, machine_seed);
-        return simulator.run(entry, invocations);
+        return workloads::simulateMote(workload, lowered, c, seeds,
+                                       invocations);
     };
 
     auto base = run_with({});
@@ -849,18 +846,17 @@ causalResimulationOracle(const CfgScenario &scenario)
     if (!ir::verifyModule(*program.module).ok())
         return "generated module failed IR verification";
     return causalAgreementCore(
-        *program.module, program.entry,
-        [&](uint64_t seed) { return program.makeInputs(seed); },
-        scenario.simSeed, scenario.simSeed ^ 0x5eed, scenario.invocations);
+        program.workload(),
+        {.sim = scenario.simSeed ^ 0x5eed, .inputs = scenario.simSeed},
+        scenario.invocations);
 }
 
 std::optional<std::string>
 causalWorkloadResimulationOracle(const std::string &workload_name,
                                  uint64_t seed, size_t invocations)
 {
-    auto workload = workloads::workloadByName(workload_name);
-    return causalAgreementCore(*workload.module, workload.entry,
-                               workload.makeInputs, seed, seed ^ 0x636175,
+    return causalAgreementCore(workloads::workloadByName(workload_name),
+                               {.sim = seed ^ 0x636175, .inputs = seed},
                                invocations);
 }
 
