@@ -1,25 +1,14 @@
 #include "api/pipeline.hh"
 
 #include "exec/thread_pool.hh"
-#include "fleet/fleet.hh"
 #include "layout/evaluator.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "stats/metrics.hh"
-#include "store/store.hh"
 #include "util/logging.hh"
 #include "workloads/campaign.hh"
 
 namespace ct::api {
-
-uint64_t
-RelayOutcome::totalWireBytes() const
-{
-    uint64_t total = 0;
-    for (const auto &ship : shipments)
-        total += ship.wireBytes;
-    return total;
-}
 
 const LayoutOutcome &
 PipelineResult::outcome(const std::string &name) const
@@ -86,90 +75,6 @@ TomographyPipeline::measure()
     return run;
 }
 
-trace::TimingTrace
-TomographyPipeline::transport(const trace::TimingTrace &trace,
-                              TransportOutcome &outcome)
-{
-    CT_SPAN("pipeline.transport");
-    const TransportConfig &cfg = config_.transport;
-    uint64_t seed =
-        cfg.seed ? cfg.seed : workloads::transportSeed(config_.seed);
-
-    net::CollectorConfig collector_cfg = cfg.collector;
-    if (!cfg.storeDir.empty()) {
-        collector_cfg.storeDir = cfg.storeDir;
-        collector_cfg.store = cfg.store;
-    }
-    net::SinkCollector sink(collector_cfg);
-    auto transfer = net::transferTrace(trace, cfg.moteId, cfg.mtu,
-                                       cfg.channel, cfg.uplink, sink, seed);
-
-    outcome.enabled = true;
-    outcome.complete = transfer.complete;
-    outcome.packets = transfer.packets;
-    outcome.rounds = transfer.rounds;
-    outcome.recordsSent = trace.size();
-    outcome.recordsDelivered = sink.recordsDelivered(cfg.moteId);
-    outcome.channel = transfer.channel;
-    outcome.uplink = transfer.uplink;
-    outcome.collector = sink.stats();
-    if (sink.store()) {
-        sink.store()->flush();
-        outcome.recordsPersisted = sink.store()->stats().recordsAppended;
-    }
-
-    if (obs::metricsEnabled())
-        net::recordTransferMetrics(transfer, sink.stats());
-
-    if (cfg.resumeFromStore && sink.store()) {
-        // Recovered records first, then this run's, with per-procedure
-        // invocation indices reassigned over the concatenation (wire
-        // records do not carry invocation numbers; see decodeRecord).
-        trace::TimingTrace combined;
-        std::vector<uint64_t> invocations;
-        auto add_renumbered = [&](trace::TimingRecord record) {
-            if (invocations.size() <= record.proc)
-                invocations.resize(record.proc + 1, 0);
-            record.invocation = invocations[record.proc]++;
-            combined.add(record);
-        };
-        for (const auto &entry : sink.store()->recoveredTail())
-            add_renumbered(entry.record);
-        outcome.recordsRecovered = sink.store()->recoveredTail().size();
-        for (const auto &record : sink.traceFor(cfg.moteId).records())
-            add_renumbered(record);
-        return combined;
-    }
-    return sink.traceFor(cfg.moteId);
-}
-
-trace::TimingTrace
-TomographyPipeline::recoverTrace(const std::string &store_dir)
-{
-    trace::TimingTrace out;
-    std::vector<uint64_t> invocations;
-    auto replay = [&](const std::string &dir) {
-        store::Store store(dir);
-        for (const auto &entry : store.recoveredTail()) {
-            trace::TimingRecord record = entry.record;
-            if (invocations.size() <= record.proc)
-                invocations.resize(record.proc + 1, 0);
-            record.invocation = invocations[record.proc]++;
-            out.add(record);
-        }
-    };
-    auto shards = fleet::shardStoreDirs(store_dir);
-    if (shards.empty()) {
-        replay(store_dir);
-    } else {
-        // A sharded fleet root: recover each shard's durable prefix in
-        // shard order (deterministic — shardStoreDirs sorts).
-        for (const auto &dir : shards)
-            replay(dir);
-    }
-    return out;
-}
-
 tomography::ModuleEstimate
 TomographyPipeline::estimate(const trace::TimingTrace &trace)
 {
@@ -217,90 +122,6 @@ TomographyPipeline::causalProfile(const sim::RunResult &measure_run,
         inform("wrote causal profile ", cfg.csvOut);
     }
     return profile;
-}
-
-tomography::ModuleEstimate
-TomographyPipeline::adoptFromSnapshot(const relay::Snapshot &snapshot)
-{
-    CT_SPAN("pipeline.adopt");
-    return fleet::estimateFromSlots(
-        *workload_.module, natural_, config_.sim.costs, config_.sim.policy,
-        config_.sim.cyclesPerTick, sim::nestedProbeCycles(config_.sim.costs),
-        config_.estimatorOptions, snapshot.slots);
-}
-
-std::optional<tomography::ModuleEstimate>
-TomographyPipeline::adoptFromSnapshotFile(const std::string &path)
-{
-    auto snapshot = relay::readSnapshotFile(path);
-    if (!snapshot)
-        return std::nullopt;
-    return adoptFromSnapshot(*snapshot);
-}
-
-void
-TomographyPipeline::relayStage(const trace::TimingTrace &delivered,
-                               PipelineResult &result)
-{
-    CT_SPAN("pipeline.relay");
-    const RelayConfig &cfg = config_.relay;
-    uint64_t base_seed =
-        cfg.seed ? cfg.seed : workloads::relaySeed(config_.seed);
-
-    // The sink condenses its delivered records into an estimator bank
-    // — the same online state a deployed sink holds — and ships that,
-    // not the trace: O(paths + branches) bytes instead of O(records).
-    net::EstimatorBank bank(*workload_.module, natural_, config_.sim.costs,
-                            config_.sim.policy, config_.sim.cyclesPerTick,
-                            config_.estimatorOptions,
-                            sim::nestedProbeCycles(config_.sim.costs));
-    uint16_t mote = config_.transport.moteId;
-    for (const auto &record : delivered.records())
-        bank.observe(mote, record);
-
-    RelayOutcome &out = result.relay;
-    out.enabled = true;
-    out.hops = cfg.hops;
-    relay::Snapshot snapshot =
-        relay::snapshotFromBank(bank, /*id=*/config_.seed, /*source_node=*/0);
-    out.slots = snapshot.slots.size();
-    out.sourceDigest = snapshot.digest();
-
-    // Chain the hops: what tier h adopted is exactly what tier h+1
-    // ships (source node re-stamped to the shipping tier).
-    bool alive = true;
-    for (size_t hop = 0; hop < cfg.hops && alive; ++hop) {
-        snapshot.sourceNode = uint16_t(hop);
-        relay::ShipOutcome ship;
-        auto received = relay::shipAndReceive(
-            snapshot, cfg.ship, workloads::relayHopSeed(base_seed, hop),
-            ship);
-        out.imageBytes = ship.imageBytes;
-        out.shipments.push_back(ship);
-        if (received)
-            snapshot = std::move(*received);
-        else
-            alive = false;
-    }
-    out.adopted = alive;
-    out.rootDigest = alive ? snapshot.digest() : 0;
-    out.digestMatch = alive && out.rootDigest == out.sourceDigest;
-
-    if (alive && !cfg.snapshotOut.empty()) {
-        relay::writeSnapshotFile(cfg.snapshotOut, snapshot);
-        inform("wrote relay snapshot ", cfg.snapshotOut);
-    }
-    if (alive && cfg.estimateFromSnapshot) {
-        result.estimate = adoptFromSnapshot(snapshot);
-        out.estimateFromSnapshot = true;
-    }
-    if (obs::metricsEnabled()) {
-        auto &m = obs::metrics();
-        m.counter("relay.pipeline_hops").add(out.shipments.size());
-        m.counter(out.digestMatch ? "relay.pipeline_digest_match"
-                                  : "relay.pipeline_digest_mismatch")
-            .add(1);
-    }
 }
 
 BudgetOutcome
@@ -413,20 +234,7 @@ TomographyPipeline::runStages()
     CT_SPAN("pipeline.run");
     PipelineResult result;
     result.measureRun = measure();
-    trace::TimingTrace delivered;
-    if (config_.transport.enabled) {
-        // Estimate from what actually crossed the simulated radio link,
-        // not from the mote-side trace.
-        delivered = transport(result.measureRun.trace, result.transport);
-    } else {
-        delivered = result.measureRun.trace;
-    }
-    result.estimate = estimate(delivered);
-
-    // Snapshot shipping up the aggregation tiers; may replace the
-    // estimate with the root's snapshot-derived one (config.relay).
-    if (config_.relay.enabled)
-        relayStage(delivered, result);
+    result.estimate = estimate(result.measureRun.trace);
 
     // Accuracy scoring over every procedure that was actually invoked
     // and has at least one conditional branch.
@@ -493,22 +301,6 @@ TomographyPipeline::runStages()
         exec::parallelMap(pool, candidates.size(), [&](size_t i) {
             return evaluate(candidates[i].name, candidates[i].orders);
         });
-
-    if (config_.pgo.enabled) {
-        CT_SPAN("pipeline.pgo");
-        // The controller inherits the pipeline-level knobs so its
-        // bootstrap reproduces the "tomography" candidate bitwise.
-        pgo::PgoConfig cfg = config_.pgo;
-        cfg.estimator = config_.estimator;
-        cfg.estimatorOptions = config_.estimatorOptions;
-        cfg.sim = config_.sim;
-        cfg.seed = config_.seed;
-        cfg.jobs = config_.jobs;
-        cfg.measureInvocations = config_.measureInvocations;
-        pgo::ContinuousPgo loop(workload_, cfg);
-        result.pgo.enabled = true;
-        result.pgo.result = loop.run();
-    }
     return result;
 }
 

@@ -26,54 +26,11 @@
 #include "budget/budget.hh"
 #include "causal/causal.hh"
 #include "layout/placement.hh"
-#include "net/channel.hh"
-#include "net/collector.hh"
-#include "net/uplink.hh"
-#include "pgo/pgo.hh"
-#include "relay/relay.hh"
 #include "sim/machine.hh"
 #include "tomography/estimator.hh"
 #include "workloads/workload.hh"
 
 namespace ct::api {
-
-/**
- * Opt-in transport stage: ship the measurement trace through a
- * simulated lossy radio link (ct::net) before estimating, so the
- * estimator only sees what a real sink would have collected.
- */
-struct TransportConfig
-{
-    /** Off by default: estimate() reads the trace directly. */
-    bool enabled = false;
-    /** Mote id stamped on the packets (1-based by convention). */
-    uint16_t moteId = 1;
-    size_t mtu = net::kDefaultMtu;
-    net::ChannelConfig channel;
-    net::UplinkConfig uplink;
-    net::CollectorConfig collector;
-    /** Channel seed; 0 = derive from the pipeline seed. */
-    uint64_t seed = 0;
-
-    /// @name Durability (ct::store)
-    /// @{
-    /**
-     * When non-empty, the sink persists every delivered record to a
-     * durable store at this directory (WAL + crash recovery — see
-     * docs/STORE.md). Shorthand for collector.storeDir.
-     */
-    std::string storeDir;
-    /** Durability knobs, honored only when storeDir is set. */
-    store::StoreConfig store;
-    /**
-     * Resume a persisted campaign: records recovered from storeDir
-     * are prepended to this run's delivered trace (invocations
-     * renumbered per procedure), so an interrupted campaign restarted
-     * on the same directory estimates from the union of both runs.
-     */
-    bool resumeFromStore = false;
-    /// @}
-};
 
 /**
  * Opt-in analysis stage: build a ct::causal what-if profile on the
@@ -102,39 +59,6 @@ struct CausalConfig
     /** When non-empty, write the ranked profile as JSON / CSV here. */
     std::string jsonOut;
     std::string csvOut;
-};
-
-/**
- * Opt-in relay stage: condense the sink's estimator bank into a
- * ct::relay snapshot and ship it up a chain of aggregation hops
- * (sink -> region -> root), each hop a fragmented, CRC-framed,
- * selective-repeat transfer over its own lossy link (docs/RELAY.md).
- * The stage proves the deployment story end to end: the root's
- * adopted state must carry the same digest the sink started from.
- */
-struct RelayConfig
-{
-    /** Off by default: the estimate never leaves the sink. */
-    bool enabled = false;
-    /** Aggregation hops the snapshot crosses (2 = sink -> region ->
-     *  root). 0 is allowed: encode + adopt locally, no wire. */
-    size_t hops = 2;
-    /** Per-hop shipping knobs (every hop uses the same ones; hop h
-     *  gets its own channel seed derived from seed and h). */
-    relay::ShipConfig ship;
-    /** Base seed; 0 = derive from the pipeline seed. */
-    uint64_t seed = 0;
-    /** When non-empty, write the root's adopted snapshot image here
-     *  (`.ctsnap`, inspectable with store_tool snapshot). */
-    std::string snapshotOut;
-    /**
-     * Replace the pipeline's estimate with one derived from the
-     * root's adopted snapshot (fleet::estimateFromSlots), so the
-     * placement stage optimizes from exactly what survived the relay
-     * — the paper's estimation-at-the-root deployment. Ignored when
-     * the shipment failed (the sink-side estimate stands).
-     */
-    bool estimateFromSnapshot = false;
 };
 
 /**
@@ -197,69 +121,12 @@ struct PipelineConfig
     std::string metricsOut;
     /// @}
 
-    /** Simulated mote-to-sink link between measure and estimate. */
-    TransportConfig transport;
-
     /** What-if causal profiling after estimation (off by default). */
     CausalConfig causalProfile;
 
     /** Budget-constrained placement selection (off by default). */
     BudgetConfig budget;
 
-    /** Snapshot shipping up the aggregation tiers (off by default). */
-    RelayConfig relay;
-
-    /**
-     * Opt-in closed-loop stage (docs/PGO.md): after the one-shot
-     * evaluation, keep running the workload in windows under a
-     * continuous-PGO controller with drift-triggered re-placement.
-     * The controller inherits the pipeline's estimator, sim config,
-     * seed, jobs, and measureInvocations, so its bootstrap placement
-     * is bitwise the "tomography" candidate evaluated above.
-     */
-    pgo::PgoConfig pgo;
-};
-
-/** What the transport stage did (all zero when disabled). */
-struct TransportOutcome
-{
-    bool enabled = false;
-    bool complete = false; //!< sink accepted every packet
-    size_t packets = 0;
-    uint64_t rounds = 0;
-    size_t recordsSent = 0;
-    size_t recordsDelivered = 0;
-    /** Records appended to the durable store this run (0 without one). */
-    uint64_t recordsPersisted = 0;
-    /** Records recovered from the store and prepended on resume. */
-    uint64_t recordsRecovered = 0;
-    net::ChannelStats channel;
-    net::UplinkStats uplink;
-    net::CollectorStats collector;
-};
-
-/** What the relay stage did (all zero when disabled). */
-struct RelayOutcome
-{
-    bool enabled = false;
-    /** Every hop completed and the root validated its adoption. */
-    bool adopted = false;
-    size_t hops = 0;
-    /** Estimator slots the sink condensed into the snapshot. */
-    size_t slots = 0;
-    size_t imageBytes = 0;
-    /** Digest of the sink's bank at the ship point. */
-    uint64_t sourceDigest = 0;
-    /** Digest recomputed from the root's adopted slots. */
-    uint64_t rootDigest = 0;
-    /** sourceDigest == rootDigest (the stage's invariant). */
-    bool digestMatch = false;
-    /** The estimate came from the adopted snapshot, not the trace. */
-    bool estimateFromSnapshot = false;
-    /** Per-hop shipping outcomes, in hop order. */
-    std::vector<relay::ShipOutcome> shipments;
-
-    uint64_t totalWireBytes() const;
 };
 
 /** One procedure's budget decision, for reporting. */
@@ -290,13 +157,6 @@ struct BudgetOutcome
     std::vector<sim::BlockOrder> orders;
 };
 
-/** What the closed-loop stage did (enabled == false when skipped). */
-struct PgoOutcome
-{
-    bool enabled = false;
-    pgo::PgoResult result;
-};
-
 /** Simulated outcome of one placement. */
 struct LayoutOutcome
 {
@@ -316,12 +176,7 @@ struct PipelineResult
 {
     /** The measurement campaign (trace + ground truth). */
     sim::RunResult measureRun;
-    /** The simulated uplink (enabled == false when skipped). */
-    TransportOutcome transport;
-    /** Snapshot shipping (enabled == false when skipped). */
-    RelayOutcome relay;
-    /** Tomography's output (snapshot-derived when the relay stage ran
-     *  with estimateFromSnapshot and the shipment succeeded). */
+    /** Tomography's output. */
     tomography::ModuleEstimate estimate;
 
     /// @name Estimation accuracy (evaluation-only; uses ground truth)
@@ -343,9 +198,6 @@ struct PipelineResult
 
     /** Budgeted placement selection (enabled == false when skipped). */
     BudgetOutcome budget;
-
-    /** Closed-loop continuous PGO (enabled == false when skipped). */
-    PgoOutcome pgo;
 
     /** Convenience accessors; fatal() if the name is absent. */
     const LayoutOutcome &outcome(const std::string &name) const;
@@ -377,40 +229,7 @@ class TomographyPipeline
     /// @name Individual stages (for callers composing their own flow)
     /// @{
     sim::RunResult measure();
-    /**
-     * Ship @p trace through the configured lossy link and return what
-     * the sink reassembled (identical to the input when nothing was
-     * lost past the retransmit budget). Runs even when
-     * config.transport.enabled is false — the flag only gates whether
-     * runStages() routes the trace through here.
-     */
-    trace::TimingTrace transport(const trace::TimingTrace &trace,
-                                 TransportOutcome &outcome);
-    /**
-     * Reconstruct the durable record prefix of a store directory as a
-     * timing trace (invocations assigned in replay order per
-     * procedure, oracle cycles unknown — wire records do not carry
-     * them). This is what a resumed run prepends; exposed for
-     * offline inspection of an interrupted campaign. A sharded fleet
-     * root (holding `shard-NNN` subdirectories, see docs/FLEET.md) is
-     * recovered shard by shard in shard order, each shard's prefix
-     * replayed via the unchanged single-store invariant.
-     */
-    static trace::TimingTrace recoverTrace(const std::string &store_dir);
     tomography::ModuleEstimate estimate(const trace::TimingTrace &trace);
-    /**
-     * Derive the pipeline's estimate from a shipped relay snapshot
-     * instead of a trace: a fresh root (new process, no WAL, no
-     * telemetry) adopts a campaign wholesale and proceeds straight to
-     * placement. Per-(mote, proc) states collapse onto one estimate
-     * per procedure (fleet::estimateFromSlots).
-     */
-    tomography::ModuleEstimate
-    adoptFromSnapshot(const relay::Snapshot &snapshot);
-    /** Same, reading a `.ctsnap` image file; nullopt when the file is
-     *  unreadable or fails the all-or-nothing validation. */
-    std::optional<tomography::ModuleEstimate>
-    adoptFromSnapshotFile(const std::string &path);
     /**
      * Build the what-if causal profile per config.causalProfile from a
      * measurement run and the estimate derived from it (the estimate is
@@ -440,19 +259,10 @@ class TomographyPipeline
     /** The four stages under one root span, sans exporter handling. */
     PipelineResult runStages();
 
-    /**
-     * The relay stage body: condense @p delivered into a bank, ship
-     * the snapshot across config.relay.hops chained lossy links, and
-     * fill @p result.relay (possibly replacing result.estimate when
-     * estimateFromSnapshot is set and every hop completed).
-     */
-    void relayStage(const trace::TimingTrace &delivered,
-                    PipelineResult &result);
-
     workloads::Workload workload_;
     PipelineConfig config_;
     /** The natural layout, lowered once: what every probed stage
-     *  (measure, estimate, causal, relay, budget) runs against. */
+     *  (measure, estimate, causal, budget) runs against. */
     sim::LoweredModule natural_;
 };
 

@@ -484,7 +484,7 @@ runShardedFleet(const workloads::Workload &workload,
         }
         if (lossy) {
             // Each mote's link, then the shards' sinks, under the names
-            // the pipeline's transport stage uses.
+            // a single transferTrace records.
             for (const auto &mote : result.motes)
                 net::recordTransferMetrics(mote.transfer, {});
             net::recordTransferMetrics({}, sharded.stats());

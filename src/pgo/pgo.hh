@@ -71,9 +71,6 @@ struct Regime
 /** Controller knobs. */
 struct PgoConfig
 {
-    /** Gates the api pipeline stage; ContinuousPgo itself ignores it. */
-    bool enabled = false;
-
     /** Invocations of the one-shot bootstrap campaign (must match the
      *  pipeline's measureInvocations for the metamorphic identity). */
     size_t measureInvocations = 2'000;

@@ -316,14 +316,4 @@ readSnapshotImage(const std::string &path)
     return store::readFileBytes(path);
 }
 
-std::optional<Snapshot>
-readSnapshotFile(const std::string &path)
-{
-    auto image = readSnapshotImage(path);
-    Snapshot out;
-    if (!image || !decodeSnapshotImage(*image, out))
-        return std::nullopt;
-    return out;
-}
-
 } // namespace ct::relay

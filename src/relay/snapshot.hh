@@ -217,11 +217,9 @@ class SnapshotReassembler
  *  errors. */
 void writeSnapshotFile(const std::string &path, const Snapshot &snapshot);
 
-/** Read and fully validate; nullopt when unreadable or invalid. */
-std::optional<Snapshot> readSnapshotFile(const std::string &path);
-
-/** Raw image bytes of a snapshot file (header inspection of a file
- *  whose body may be damaged); nullopt when unreadable. */
+/** Raw image bytes of a snapshot file; nullopt when unreadable.
+ *  decodeSnapshotImage validates them, decodeSnapshotHeader inspects
+ *  the header of a file whose body may be damaged. */
 std::optional<std::vector<uint8_t>>
 readSnapshotImage(const std::string &path);
 /// @}

@@ -4,11 +4,12 @@
  * the mote (measure lane), estimate branch probabilities, place code,
  * score a placement with the probes off (evaluate lane) — as the one
  * set of functions the pipeline, continuous PGO's bootstrap and
- * lanes, and the fleet and relay motes all call. No driver derives a
- * seed from a campaign seed or builds inputs plus a sim::Simulator on
- * its own, so two drivers given one seed simulate the same events and
- * place the same layout by construction. Every seed is a pure function
- * of its arguments (the determinism contract of exec/thread_pool.hh).
+ * lanes, the fleet and relay motes and the check oracles all call.
+ * No driver derives a seed from a campaign seed or builds inputs plus
+ * a sim::Simulator on its own, so two drivers given one seed simulate
+ * the same events and place the same layout by construction. Every
+ * seed is a pure function of its arguments (the determinism contract
+ * of exec/thread_pool.hh).
  */
 
 #ifndef CT_WORKLOADS_CAMPAIGN_HH
@@ -24,23 +25,14 @@
 namespace ct::workloads {
 
 /// @name Seed derivation
-/// A stage XORs a four-letter ASCII tag ("rand", "netw", ...) into the
+/// A stage XORs a four-letter ASCII tag ("rand", "meas", ...) into the
 /// campaign seed, so one seed drives independent streams; keyed seeds
-/// (windows, hops, links, motes) stride a Weyl sequence.
+/// (windows, links, motes) stride a Weyl sequence.
 /// @{
 inline constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
 /** Rng seed of the pipeline's baseline candidate placements. */
 inline uint64_t candidateSeed(uint64_t seed) { return seed ^ 0x72616e64; }
-/** Lossy-link seed of the pipeline's transport stage. */
-inline uint64_t transportSeed(uint64_t seed) { return seed ^ 0x6e657477; }
-/** Base seed of the pipeline's relay stage. */
-inline uint64_t relaySeed(uint64_t seed) { return seed ^ 0x72656c79; }
-/** Channel seed of relay hop @p hop, from the stage's base seed. */
-inline uint64_t relayHopSeed(uint64_t base, size_t hop)
-{
-    return base + kGolden * hop;
-}
 /** Campaign seed of continuous-PGO window @p window. */
 inline uint64_t windowSeed(uint64_t seed, size_t window)
 {
@@ -90,8 +82,9 @@ sim::RunResult evaluateLane(const Workload &workload,
                             size_t invocations,
                             const InputShift *shift = nullptr);
 
-/** One fleet mote's own run of @p invocations on @p lowered, seeded by
- *  @p seeds (probes as @p config sets them). */
+/** One run of @p invocations on @p lowered, seeded by @p seeds alone
+ *  (probes as @p config sets them): a fleet mote's own campaign, or a
+ *  check oracle's scenario. */
 sim::RunResult simulateMote(const Workload &workload,
                             const sim::LoweredModule &lowered,
                             const sim::SimConfig &config,

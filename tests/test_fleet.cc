@@ -5,16 +5,15 @@
  * unsharded collector (snapshots, digests, stats), per-shard durable
  * recovery, the campaign driver's determinism across shard counts and
  * jobs, and the per-shard store metric scopes. The NetFleet cases
- * drive lossy campaigns (every mote over its own faulty link) and the
- * pipeline's transport stage: delivery under loss, graceful
- * fire-and-forget degradation, and the net.* counters.
+ * drive lossy campaigns (every mote over its own faulty link):
+ * delivery under loss, graceful fire-and-forget degradation, and the
+ * net.* counters.
  */
 
 #include <filesystem>
 
 #include <gtest/gtest.h>
 
-#include "api/pipeline.hh"
 #include "fleet/fleet.hh"
 #include "obs/metrics.hh"
 #include "sim/machine.hh"
@@ -268,7 +267,6 @@ TEST(Fleet, ShardedRecoveryResumesEachShard)
     config.storeDir = dir;
 
     std::vector<store::EstimatorSlot> before;
-    uint64_t delivered = 0;
     {
         auto sharded = fx.makeSharded(config);
         for (const auto &frame : frames)
@@ -276,7 +274,6 @@ TEST(Fleet, ShardedRecoveryResumesEachShard)
         for (uint16_t mote : kFourWayMotes)
             sharded.finalizeMote(mote);
         before = sharded.mergedSnapshot();
-        delivered = sharded.stats().recordsDelivered;
     } // process dies with every record in the per-shard WALs
 
     // The root is a sharded store: one complete ct::store per shard,
@@ -285,11 +282,6 @@ TEST(Fleet, ShardedRecoveryResumesEachShard)
     ASSERT_EQ(dirs.size(), 4u);
     for (const auto &shard_dir : dirs)
         EXPECT_TRUE(store::fsckStore(shard_dir).ok) << shard_dir;
-
-    // The pipeline's trace recovery reads the sharded root: every
-    // durable record, shard by shard.
-    auto trace = api::TomographyPipeline::recoverTrace(dir);
-    EXPECT_EQ(trace.size(), delivered);
 
     // Reopening the same root *is* sharded recovery; the resumed
     // pipeline holds the identical merged snapshot.
@@ -586,39 +578,4 @@ TEST(NetFleet, ExportsNetCountersWhenMetricsEnabled)
     // With the flag off, nothing records.
     runShardedFleet(workload, config);
     EXPECT_EQ(m.counter("net.packets_sent").value(), 0u);
-}
-
-TEST(NetFleet, PipelineTransportStageFeedsEstimator)
-{
-    api::PipelineConfig config;
-    config.measureInvocations = 300;
-    config.evalInvocations = 300;
-    config.jobs = 1;
-    config.transport.enabled = true;
-    config.transport.channel.dropRate = 0.15;
-    config.transport.channel.reorderWindow = 2;
-    config.transport.channel.bitFlipRate = 0.02;
-
-    api::TomographyPipeline pipeline(
-        workloads::workloadByName("event_dispatch"), config);
-    auto result = pipeline.run();
-
-    EXPECT_TRUE(result.transport.enabled);
-    EXPECT_TRUE(result.transport.complete); // retransmits on by default
-    EXPECT_GT(result.transport.packets, 0u);
-    EXPECT_EQ(result.transport.recordsDelivered,
-              result.transport.recordsSent);
-    EXPECT_GT(result.transport.channel.dropped, 0u);
-    // Complete transport delivers the identical trace, so estimation
-    // quality is unchanged from the direct path.
-    EXPECT_LT(result.branchMaxError, 0.1);
-    EXPECT_EQ(result.outcomes.size(), 5u);
-
-    // Disabled transport leaves the outcome inert.
-    config.transport.enabled = false;
-    api::TomographyPipeline direct(
-        workloads::workloadByName("event_dispatch"), config);
-    auto direct_result = direct.run();
-    EXPECT_FALSE(direct_result.transport.enabled);
-    EXPECT_EQ(direct_result.transport.packets, 0u);
 }

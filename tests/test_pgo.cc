@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "api/pipeline.hh"
 #include "causal/causal.hh"
 #include "layout/placement.hh"
 #include "pgo/pgo.hh"
@@ -137,31 +136,6 @@ TEST(Pgo, ClosedLoopSmokeWithParallelLanes)
         cum += w.regretCycles;
         EXPECT_EQ(w.cumulativeRegretCycles, cum);
     }
-}
-
-TEST(Pgo, PipelineStageInheritsKnobsAndMatchesPlacement)
-{
-    auto workload = workloads::makeAlarmThreshold();
-    api::PipelineConfig cfg;
-    cfg.seed = 5;
-    cfg.measureInvocations = 400;
-    cfg.pgo.enabled = true;
-    cfg.pgo.windowInvocations = 100;
-    cfg.pgo.regimes = {pgo::Regime{.windows = 2}};
-    api::TomographyPipeline pipeline(workload, cfg);
-    auto result = pipeline.run();
-
-    ASSERT_TRUE(result.pgo.enabled);
-    EXPECT_EQ(result.pgo.result.windows, 2u);
-    EXPECT_FALSE(result.pgo.result.decisionLog.empty());
-    // The stage inherits estimator/sim/seed/measureInvocations, so
-    // the controller's bootstrap placement is the pipeline's own
-    // "tomography" candidate bitwise.
-    auto run = pipeline.measure();
-    auto estimate = pipeline.estimate(run.trace);
-    auto orders = pipeline.optimize(estimate.profile);
-    EXPECT_EQ(result.pgo.result.initialLayoutDigest,
-              layout::layoutDigest(orders));
 }
 
 } // namespace

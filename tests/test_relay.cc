@@ -6,15 +6,14 @@
  * lossy link, the three adopt paths (bank restore, bank merge, store
  * checkpoint with zero WAL replay), snapshot-only estimation, tree
  * topology validation, a small end-to-end aggregation campaign, and
- * the pipeline's opt-in relay stage. The randomized versions of the
- * load-bearing invariants live in tests/prop_relay.cc.
+ * snapshot files. The randomized versions of the load-bearing
+ * invariants live in tests/prop_relay.cc.
  */
 
 #include <filesystem>
 
 #include <gtest/gtest.h>
 
-#include "api/pipeline.hh"
 #include "fleet/fleet.hh"
 #include "net/collector.hh"
 #include "relay/relay.hh"
@@ -449,72 +448,6 @@ TEST(RelayTree, RootDigestMatchesFlatReplay)
     }
 }
 
-TEST(RelayPipeline, RelayStagePreservesTheDigest)
-{
-    auto dir = scratchDir("pipeline");
-    fs::create_directories(dir);
-    auto snapshot_path = (fs::path(dir) / "root.ctsnap").string();
-
-    api::PipelineConfig config;
-    config.seed = 5;
-    config.measureInvocations = 120;
-    config.evalInvocations = 150;
-    config.jobs = 1;
-    config.relay.enabled = true;
-    config.relay.hops = 2;
-    config.relay.ship.channel.dropRate = 0.2;
-    config.relay.snapshotOut = snapshot_path;
-
-    api::TomographyPipeline pipeline(
-        workloads::workloadByName("event_dispatch"), config);
-    auto result = pipeline.run();
-
-    ASSERT_TRUE(result.relay.enabled);
-    ASSERT_TRUE(result.relay.adopted);
-    EXPECT_TRUE(result.relay.digestMatch);
-    EXPECT_EQ(result.relay.sourceDigest, result.relay.rootDigest);
-    EXPECT_EQ(result.relay.hops, 2u);
-    EXPECT_EQ(result.relay.shipments.size(), 2u);
-    EXPECT_GT(result.relay.slots, 0u);
-    EXPECT_GT(result.relay.totalWireBytes(), 0u);
-    EXPECT_FALSE(result.relay.estimateFromSnapshot);
-
-    // The exported root snapshot feeds a fresh pipeline's estimate.
-    auto shipped = relay::readSnapshotFile(snapshot_path);
-    ASSERT_TRUE(shipped.has_value());
-    EXPECT_EQ(shipped->digest(), result.relay.rootDigest);
-    auto adopted = pipeline.adoptFromSnapshotFile(snapshot_path);
-    ASSERT_TRUE(adopted.has_value());
-    EXPECT_EQ(adopted->profile.size(),
-              workloads::workloadByName("event_dispatch")
-                  .module->procedureCount());
-    EXPECT_FALSE(pipeline.adoptFromSnapshotFile(snapshot_path + ".missing")
-                     .has_value());
-    fs::remove_all(dir);
-}
-
-TEST(RelayPipeline, SnapshotDerivedEstimateFeedsPlacement)
-{
-    api::PipelineConfig config;
-    config.seed = 6;
-    config.measureInvocations = 120;
-    config.evalInvocations = 150;
-    config.jobs = 1;
-    config.relay.enabled = true;
-    config.relay.hops = 1;
-    config.relay.estimateFromSnapshot = true;
-
-    api::TomographyPipeline pipeline(
-        workloads::workloadByName("event_dispatch"), config);
-    auto result = pipeline.run();
-    ASSERT_TRUE(result.relay.adopted);
-    EXPECT_TRUE(result.relay.estimateFromSnapshot);
-    EXPECT_TRUE(result.relay.digestMatch);
-    EXPECT_EQ(result.estimate.profile.size(),
-              workloads::workloadByName("event_dispatch")
-                  .module->procedureCount());
-}
-
 TEST(RelaySnapshot, FileRoundTripsAndRejectsDamage)
 {
     auto dir = scratchDir("files");
@@ -523,15 +456,15 @@ TEST(RelaySnapshot, FileRoundTripsAndRejectsDamage)
 
     auto snapshot = sampleSnapshot();
     relay::writeSnapshotFile(path, snapshot);
-    auto read_back = relay::readSnapshotFile(path);
-    ASSERT_TRUE(read_back.has_value());
-    EXPECT_EQ(*read_back, snapshot);
-
     auto image = relay::readSnapshotImage(path);
     ASSERT_TRUE(image.has_value());
     EXPECT_EQ(*image, relay::encodeSnapshotImage(snapshot));
+    relay::Snapshot read_back;
+    ASSERT_TRUE(relay::decodeSnapshotImage(*image, read_back));
+    EXPECT_EQ(read_back, snapshot);
 
-    // Damage the stored image: reads must reject it whole.
+    // Damage the stored image: the bytes still read, but decoding
+    // rejects them whole.
     (*image)[image->size() / 2] ^= 0x04;
     {
         std::FILE *f = std::fopen(path.c_str(), "wb");
@@ -539,10 +472,13 @@ TEST(RelaySnapshot, FileRoundTripsAndRejectsDamage)
         std::fwrite(image->data(), 1, image->size(), f);
         std::fclose(f);
     }
-    EXPECT_FALSE(relay::readSnapshotFile(path).has_value());
-    EXPECT_TRUE(relay::readSnapshotImage(path).has_value());
-    EXPECT_FALSE(relay::readSnapshotFile((fs::path(dir) / "nope").string())
-                     .has_value());
+    auto damaged = relay::readSnapshotImage(path);
+    ASSERT_TRUE(damaged.has_value());
+    relay::Snapshot rejected;
+    EXPECT_FALSE(relay::decodeSnapshotImage(*damaged, rejected));
+    EXPECT_FALSE(
+        relay::readSnapshotImage((fs::path(dir) / "nope").string())
+            .has_value());
     fs::remove_all(dir);
 }
 

@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "api/pipeline.hh"
 #include "net/collector.hh"
+#include "net/uplink.hh"
 #include "sim/lower.hh"
 #include "sim/machine.hh"
 #include "store/format.hh"
@@ -220,63 +220,58 @@ TEST(StoreRecovery, BankResumeIsBitwiseEqualToUninterruptedBank)
 TEST(StoreRecovery, RestartedSinkConvergesToUninterruptedEstimates)
 {
     // The acceptance scenario: a campaign's sink dies mid-way; the
-    // restarted sink opens the same store directory, recovers the
-    // durable prefix, collects the rest, and the estimate must equal
-    // the uninterrupted run's bitwise.
-    auto dir = scratchDir("pipeline");
-    auto make_pipeline = [&](bool with_store, bool resume) {
-        api::PipelineConfig config;
-        config.seed = 7;
-        config.measureInvocations = 120;
-        config.transport.enabled = true;
-        if (with_store) {
-            config.transport.storeDir = dir;
-            config.transport.resumeFromStore = resume;
-        }
-        return api::TomographyPipeline(workloads::workloadByName("crc16"),
-                                       config);
-    };
-
-    auto baseline = make_pipeline(false, false);
-    auto trace = baseline.measure().trace;
-    const auto &records = trace.records();
+    // restarted sink opens the same store directory, resumes its bank
+    // from the durable prefix, collects the rest over the lossy link,
+    // and must hold the uninterrupted sink's bank bitwise.
+    auto dir = scratchDir("restart");
+    Campaign campaign(120);
+    const auto &records = campaign.trace.records();
     size_t split = records.size() / 2;
     trace::TimingTrace first_half, second_half;
     for (size_t i = 0; i < records.size(); ++i)
         (i < split ? first_half : second_half).add(records[i]);
 
-    // Uninterrupted reference: the whole trace over one link.
-    api::TransportOutcome whole_outcome;
-    auto whole = baseline.transport(trace, whole_outcome);
-    auto reference = baseline.estimate(whole);
+    net::ChannelConfig channel;
+    channel.dropRate = 0.15;
+    channel.reorderWindow = 2;
+    auto ship = [&](const trace::TimingTrace &trace,
+                    net::SinkCollector &sink, net::EstimatorBank &bank,
+                    uint64_t seed) {
+        sink.setRecordSink(bank.sink());
+        auto transfer = net::transferTrace(trace, 1, net::kDefaultMtu,
+                                           channel, {}, sink, seed);
+        EXPECT_TRUE(transfer.complete);
+        EXPECT_GT(transfer.channel.dropped, 0u);
+    };
 
-    // Interrupted run: first half persisted, process dies, second
-    // half collected by a fresh sink resuming from the store.
+    // Uninterrupted reference: the whole trace into one sink.
+    auto uninterrupted = campaign.bank();
     {
-        auto before = make_pipeline(true, false);
-        api::TransportOutcome outcome;
-        before.transport(first_half, outcome);
-        EXPECT_EQ(outcome.recordsPersisted, first_half.size());
+        net::SinkCollector sink;
+        ship(campaign.trace, sink, uninterrupted, 11);
     }
-    auto after = make_pipeline(true, true);
-    api::TransportOutcome resumed_outcome;
-    auto combined = after.transport(second_half, resumed_outcome);
-    EXPECT_EQ(resumed_outcome.recordsRecovered, first_half.size());
-    ASSERT_EQ(combined.size(), trace.size());
-    for (size_t i = 0; i < combined.size(); ++i) {
-        EXPECT_EQ(combined[i].proc, whole[i].proc);
-        EXPECT_EQ(combined[i].startTick, whole[i].startTick);
-        EXPECT_EQ(combined[i].endTick, whole[i].endTick);
-        EXPECT_EQ(combined[i].invocation, whole[i].invocation);
-    }
-    auto resumed = after.estimate(combined);
-    ASSERT_EQ(resumed.thetas.size(), reference.thetas.size());
-    for (size_t p = 0; p < reference.thetas.size(); ++p)
-        EXPECT_EQ(resumed.thetas[p], reference.thetas[p]) << "proc " << p;
 
-    // recoverTrace exposes the same durable prefix standalone.
-    auto recovered = api::TomographyPipeline::recoverTrace(dir);
-    EXPECT_EQ(recovered.size(), trace.size());
+    // Interrupted run: the first half lands in a durable sink, then
+    // the process dies.
+    net::CollectorConfig durable;
+    durable.storeDir = dir;
+    {
+        net::SinkCollector sink(durable);
+        auto bank = campaign.bank();
+        ship(first_half, sink, bank, 12);
+        EXPECT_EQ(sink.store()->stats().recordsAppended, first_half.size());
+    }
+
+    // A fresh sink on the same directory resumes its bank from the
+    // store and collects the second half.
+    net::SinkCollector sink(durable);
+    auto resumed = campaign.bank();
+    net::resumeBank(*sink.store(), resumed);
+    EXPECT_EQ(resumed.observations(), first_half.size());
+    ship(second_half, sink, resumed, 13);
+    EXPECT_TRUE(resumed.snapshot() == uninterrupted.snapshot());
+    EXPECT_EQ(resumed.observations(), uninterrupted.observations());
+    EXPECT_EQ(resumed.outliers(), uninterrupted.outliers());
 }
 
 } // namespace
