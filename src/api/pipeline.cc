@@ -200,6 +200,8 @@ TomographyPipeline::run()
     std::string metrics_path = config_.metricsOut.empty()
                                    ? obs::metricsOutPathFromEnv()
                                    : config_.metricsOut;
+    const bool was_tracing = obs::tracer().enabled();
+    const bool was_recording = obs::metricsEnabled();
     if (!trace_path.empty())
         obs::tracer().setEnabled(true);
     if (!metrics_path.empty())
@@ -225,6 +227,12 @@ TomographyPipeline::run()
         obs::metrics().writeJson(metrics_path);
         inform("wrote metrics ", metrics_path);
     }
+    // Hand the process back as found: later runs record only if their
+    // own destinations (or the caller) turn the exporters on.
+    if (!trace_path.empty())
+        obs::tracer().setEnabled(was_tracing);
+    if (!metrics_path.empty())
+        obs::setMetricsEnabled(was_recording);
     return result;
 }
 

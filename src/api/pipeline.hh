@@ -221,8 +221,9 @@ class TomographyPipeline
     /**
      * Execute all four stages. When a trace/metrics output is
      * configured (config fields or environment), the process-wide
-     * obs exporters are enabled for the duration and the files are
-     * written before returning.
+     * obs exporters are enabled for the duration, the files are
+     * written before returning, and each exporter run() turned on is
+     * then restored to the state run() found it in.
      */
     PipelineResult run();
 

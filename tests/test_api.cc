@@ -3,10 +3,14 @@
  * Tests for the TomographyPipeline facade.
  */
 
+#include <filesystem>
+
 #include <gtest/gtest.h>
 
 #include "api/pipeline.hh"
 #include "api/report.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 using namespace ct;
 using namespace ct::api;
@@ -159,6 +163,37 @@ TEST(Pipeline, ResultIdenticalForAnyJobsCount)
         EXPECT_EQ(rs.measureRun.totalCycles, rp.measureRun.totalCycles)
             << name;
     }
+}
+
+TEST(Pipeline, RunRestoresTheExportersItTurnedOn)
+{
+    // run() turns the process-wide exporters on for its own outputs;
+    // afterwards the process must record exactly as before.
+    auto config = fastConfig();
+    config.measureInvocations = 200;
+    config.evalInvocations = 200;
+    config.traceOut = testing::TempDir() + "ct_api_restore_trace.json";
+    config.metricsOut = testing::TempDir() + "ct_api_restore_metrics.json";
+    TomographyPipeline pipeline(workloads::makeEventDispatch(), config);
+
+    obs::tracer().setEnabled(false);
+    obs::setMetricsEnabled(false);
+    pipeline.run();
+    EXPECT_TRUE(std::filesystem::exists(config.traceOut));
+    EXPECT_TRUE(std::filesystem::exists(config.metricsOut));
+    EXPECT_FALSE(obs::tracer().enabled());
+    EXPECT_FALSE(obs::metricsEnabled());
+
+    obs::tracer().setEnabled(true);
+    obs::setMetricsEnabled(true);
+    pipeline.run();
+    EXPECT_TRUE(obs::tracer().enabled());
+    EXPECT_TRUE(obs::metricsEnabled());
+
+    obs::tracer().setEnabled(false);
+    obs::setMetricsEnabled(false);
+    obs::tracer().clear();
+    obs::metrics().clear();
 }
 
 TEST(PipelineDeathTest, UnknownOutcomeIsFatal)

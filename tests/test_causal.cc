@@ -251,7 +251,6 @@ TEST(Causal, PipelineStageProducesRankingReportAndExports)
     api::TomographyPipeline pipeline(workload, config);
     obs::metrics().clear();
     auto result = pipeline.run();
-    obs::setMetricsEnabled(false);
 
     ASSERT_FALSE(result.causal.procs.empty());
     EXPECT_EQ(result.causal.workload, workload.name);
