@@ -194,6 +194,8 @@ TEST(Pipeline, RunRestoresTheExportersItTurnedOn)
     obs::setMetricsEnabled(false);
     obs::tracer().clear();
     obs::metrics().clear();
+    std::filesystem::remove(config.traceOut);
+    std::filesystem::remove(config.metricsOut);
 }
 
 TEST(PipelineDeathTest, UnknownOutcomeIsFatal)
