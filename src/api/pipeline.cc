@@ -229,10 +229,8 @@ TomographyPipeline::run()
     }
     // Hand the process back as found: later runs record only if their
     // own destinations (or the caller) turn the exporters on.
-    if (!trace_path.empty())
-        obs::tracer().setEnabled(was_tracing);
-    if (!metrics_path.empty())
-        obs::setMetricsEnabled(was_recording);
+    obs::tracer().setEnabled(was_tracing);
+    obs::setMetricsEnabled(was_recording);
     return result;
 }
 
