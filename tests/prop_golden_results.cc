@@ -22,6 +22,7 @@
 #include "check/golden.hh"
 #include "fleet/fleet.hh"
 #include "ir/analysis.hh"
+#include "layout/placement.hh"
 #include "relay/tree.hh"
 #include "sim/machine.hh"
 #include "stats/summary.hh"
@@ -73,6 +74,65 @@ uint64_t
 bitsDigest(double value, uint64_t hash)
 {
     return fnv1aWord(std::bit_cast<uint64_t>(value), hash);
+}
+
+/** "a b c" of @p values. */
+std::string
+joinCounts(const std::vector<uint64_t> &values)
+{
+    std::string out;
+    for (uint64_t value : values)
+        out += fmtRow(out.empty() ? "%llu" : " %llu",
+                      (unsigned long long)value);
+    return out;
+}
+
+/** One line holding every RunResult field: integers as printed, and
+ *  FNV-1a digests of the RAM, of every profile cell's bits (each
+ *  procedure's invocation count too) and of every trace record. */
+std::string
+runRow(const sim::RunResult &run)
+{
+    uint64_t ram = fnv1a(nullptr, 0);
+    for (ir::Word word : run.finalRam)
+        ram = fnv1aWord(uint64_t(uint32_t(word)), ram);
+    uint64_t profile = fnv1a(nullptr, 0);
+    for (ir::ProcId proc = 0; proc < run.profile.size(); ++proc) {
+        const auto &edges = run.profile[proc];
+        profile = bitsDigest(edges.invocations(), profile);
+        profile = fnv1aWord(edges.cells().size(), profile);
+        for (const auto &[edge, count] : edges.cells()) {
+            profile = fnv1aWord(edge.first, profile);
+            profile = fnv1aWord(edge.second, profile);
+            profile = bitsDigest(count, profile);
+        }
+    }
+    uint64_t trace = fnv1a(nullptr, 0);
+    for (const auto &record : run.trace.records()) {
+        trace = fnv1aWord(record.proc, trace);
+        trace = fnv1aWord(record.invocation, trace);
+        trace = fnv1aWord(uint64_t(record.startTick), trace);
+        trace = fnv1aWord(uint64_t(record.endTick), trace);
+        trace = fnv1aWord(record.trueCycles, trace);
+    }
+    std::string activity;
+    for (uint64_t cycles : run.activity.cycles)
+        activity += fmtRow(activity.empty() ? "%llu" : " %llu",
+                           (unsigned long long)cycles);
+    return fmtRow("%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,",
+                  (unsigned long long)run.totalCycles,
+                  (unsigned long long)run.instructions,
+                  (unsigned long long)run.branches.executed,
+                  (unsigned long long)run.branches.taken,
+                  (unsigned long long)run.branches.mispredicted,
+                  (unsigned long long)run.dynamicJumps,
+                  (unsigned long long)run.isrFirings,
+                  (unsigned long long)run.farCalls) +
+           activity + "," + joinCounts(run.invocations) + "," +
+           joinCounts(run.procCycles) + "," +
+           fmtRow("%zu,%016llx,%016llx,%016llx", run.trace.size(),
+                  (unsigned long long)ram, (unsigned long long)profile,
+                  (unsigned long long)trace);
 }
 
 TEST(PropGolden, UpdateModeIsOffDuringNormalRuns)
@@ -389,6 +449,87 @@ TEST(PropGolden, BatchEstimatesMatchSnapshot)
     }
     auto result =
         check::compareGolden(goldenPath("batch_estimates.txt"), out);
+    EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST(PropGolden, SimulatorRunsMatchSnapshot)
+{
+    // Every RunResult field of 500-invocation runs of every program:
+    // probes on/off x each prediction policy x the natural and one
+    // seeded random placement. crc16 and collection_tree also run with
+    // ISR preemption, with far calls under the reversed procedure
+    // order, and with every other procedure's control penalties zeroed.
+    constexpr size_t kInvocations = 500;
+    std::string out =
+        "# simulator runs: 500 invocations per program, inputs seed 11, "
+        "simulator seed 12\n"
+        "program,config,total_cycles,instructions,branches,taken,"
+        "mispredicted,dynamic_jumps,isr_firings,far_calls,activity,"
+        "invocations,proc_cycles,trace_records,ram_digest,profile_digest,"
+        "trace_digest\n";
+    auto simulate = [&](const workloads::Workload &workload,
+                        const sim::LoweredModule &lowered,
+                        const sim::SimConfig &config) {
+        auto inputs = workload.makeInputs(11);
+        sim::Simulator simulator(*workload.module, lowered, config, *inputs,
+                                 12);
+        return runRow(simulator.run(workload.entry, kInvocations));
+    };
+    for (const auto &workload : workloads::allWorkloads()) {
+        const ir::Module &module = *workload.module;
+        Rng rng(0x5eed);
+        ir::ModuleProfile no_profile(module.procedureCount());
+        const sim::LoweredModule layouts[2] = {
+            sim::lowerModule(module),
+            sim::lowerModule(module, layout::computeModuleOrders(
+                                         module, no_profile,
+                                         layout::LayoutKind::Random, rng))};
+        for (bool probes : {true, false}) {
+            for (auto policy :
+                 {sim::PredictPolicy::NotTaken, sim::PredictPolicy::Taken,
+                  sim::PredictPolicy::BTFN}) {
+                for (size_t l = 0; l < 2; ++l) {
+                    sim::SimConfig config;
+                    config.timingProbes = probes;
+                    config.policy = policy;
+                    out += fmtRow("%s,%s/%s/%s,", workload.name.c_str(),
+                                  probes ? "probes" : "deployed",
+                                  sim::policyName(policy),
+                                  l ? "random" : "natural") +
+                           simulate(workload, layouts[l], config) + "\n";
+                }
+            }
+        }
+    }
+
+    for (const char *name : {"crc16", "collection_tree"}) {
+        auto workload = workloads::workloadByName(name);
+        const ir::Module &module = *workload.module;
+        const auto natural = sim::lowerModule(module);
+
+        sim::SimConfig isr;
+        isr.isrPerBlockProb = 0.05;
+        out += fmtRow("%s,isr,", name) + simulate(workload, natural, isr) +
+               "\n";
+
+        sim::SimConfig far;
+        far.costs.farCallExtra = 4;
+        auto reversed = natural;
+        std::vector<ir::ProcId> order;
+        for (ir::ProcId proc = module.procedureCount(); proc-- > 0;)
+            order.push_back(proc);
+        reversed.setProcOrder(order);
+        out += fmtRow("%s,far_calls,", name) +
+               simulate(workload, reversed, far) + "\n";
+
+        sim::SimConfig zeroed;
+        for (ir::ProcId proc = 0; proc < module.procedureCount(); ++proc)
+            zeroed.zeroCtrlPenalty.push_back(proc % 2 == 0);
+        out += fmtRow("%s,zeroed,", name) +
+               simulate(workload, natural, zeroed) + "\n";
+    }
+
+    auto result = check::compareGolden(goldenPath("sim_runs.txt"), out);
     EXPECT_TRUE(result.ok) << result.message;
 }
 

@@ -444,6 +444,41 @@ TEST(MachineDeathTest, RunawayLoopIsFatal)
                 testing::ExitedWithCode(1), "non-terminating");
 }
 
+TEST(MachineDeathTest, RunawayRecursionIsFatal)
+{
+    // The verifier rejects recursive call graphs; a module built by hand
+    // can still hold one, and the core stops it at maxCallDepth.
+    Module module("m");
+    ProcedureBuilder b(module, "p");
+    b.setBlock(0);
+    b.nop();
+    b.ret();
+    ProcId id = b.finish();
+    module.procedure(id).block(0).insts.push_back(
+        {Opcode::Call, 0, 0, 0, Word(id)});
+
+    SimConfig config = quietConfig();
+    config.maxCallDepth = 8;
+    ScriptedInputs inputs(1);
+    EXPECT_EXIT(runOnce(module, id, inputs, config),
+                testing::ExitedWithCode(1), "call depth exceeds 8");
+}
+
+TEST(MachineDeathTest, CallToUnknownProcedureIsFatal)
+{
+    Module module("m");
+    ProcedureBuilder b(module, "p");
+    b.setBlock(0);
+    b.nop();
+    b.ret();
+    ProcId id = b.finish();
+    module.procedure(id).block(0).insts.push_back(
+        {Opcode::Call, 0, 0, 0, Word(7)});
+
+    ScriptedInputs inputs(1);
+    EXPECT_DEATH(runOnce(module, id, inputs), "procedure id .*out of range");
+}
+
 TEST(MachineDeathTest, UnconfiguredSensorIsFatal)
 {
     Module module("m");
