@@ -8,40 +8,193 @@
 
 namespace ct::sim {
 
+namespace {
+
+/** ir::evalCond, inlined into the block loop. */
+inline bool
+holds(ir::CondCode cond, ir::Word lhs, ir::Word rhs)
+{
+    switch (cond) {
+      case ir::CondCode::Eq: return lhs == rhs;
+      case ir::CondCode::Ne: return lhs != rhs;
+      case ir::CondCode::Lt: return lhs < rhs;
+      case ir::CondCode::Ge: return lhs >= rhs;
+      case ir::CondCode::Ltu: return uint32_t(lhs) < uint32_t(rhs);
+      case ir::CondCode::Geu: return uint32_t(lhs) >= uint32_t(rhs);
+    }
+    panic("holds: bad CondCode ", int(cond));
+}
+
+/** The activity class an instruction's cycles count toward. */
+Activity
+activityOf(ir::Opcode op)
+{
+    switch (op) {
+      case ir::Opcode::Sleep: return Activity::Sleep;
+      case ir::Opcode::Sense: return Activity::Sense;
+      case ir::Opcode::RadioTx: return Activity::RadioTx;
+      case ir::Opcode::RadioRx: return Activity::RadioRx;
+      default: return Activity::CpuActive;
+    }
+}
+
+/** Instructions whose only effect is their cycles (RadioTx's payload
+ *  value has no architectural effect). */
+bool
+cyclesOnly(ir::Opcode op)
+{
+    return op == ir::Opcode::Nop || op == ir::Opcode::Sleep ||
+           op == ir::Opcode::RadioTx;
+}
+
+bool
+isConditional(CtrlKind ctrl)
+{
+    return ctrl == CtrlKind::CondBr || ctrl == CtrlKind::CondBrPlusJmp;
+}
+
+} // namespace
+
 Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
                      SimConfig config, InputSource &inputs, uint64_t seed)
     : module_(module), lowered_(std::move(lowered)), config_(config),
       inputs_(inputs), timer_(config.cyclesPerTick), gapRng_(seed),
-      ram_(config.ramWords, 0)
+      ram_(config.ramWords, 0), procs_(module.procedureCount())
 {
     CT_ASSERT(lowered_.procs.size() == module.procedureCount(),
               "lowered module does not match the logical module");
+    const CostModel &costs = config_.costs;
+
+    for (ir::ProcId p = 0; p < procs_.size(); ++p) {
+        const ir::Procedure &proc = module.procedure(p);
+        const LoweredProc &placed = lowered_.procs[p];
+        const bool zeroed =
+            p < config_.zeroCtrlPenalty.size() && config_.zeroCtrlPenalty[p];
+        const uint64_t flush = zeroed ? 0 : costs.mispredictPenalty;
+        auto position = [&](ir::BlockId target) {
+            CT_ASSERT(target < placed.positionOf.size(), "'", proc.name(),
+                      "': successor bb", target, " out of range");
+            return uint32_t(placed.positionOf[target]);
+        };
+        DecodedProc &out = procs_[p];
+
+        for (uint32_t pos = 0; pos < placed.order.size(); ++pos) {
+            const LoweredBlock &lb = placed.order[pos];
+            const ir::BasicBlock &bb = proc.block(lb.block);
+            Block block;
+            block.firstOp = uint32_t(out.ops.size());
+            block.ctrl = lb.ctrl;
+            block.block = lb.block;
+            block.insts = uint32_t(bb.insts.size());
+
+            // The body: TimerRead sees, and a callee starts at, a cycle
+            // count that includes every earlier instruction and its own
+            // linkage, so those blocks spend cycles op by op. Elsewhere
+            // no instruction observes the counter and the whole body is
+            // spent at once.
+            const bool timed =
+                std::any_of(bb.insts.begin(), bb.insts.end(), [](auto &i) {
+                    return i.op == ir::Opcode::TimerRead ||
+                           i.op == ir::Opcode::Call;
+                });
+            uint64_t pending = 0;
+            for (const ir::Inst &inst : bb.insts) {
+                uint64_t cost = costs.cyclesFor(inst);
+                if (inst.op == ir::Opcode::Call) {
+                    const auto callee = ir::ProcId(inst.imm);
+                    CT_ASSERT(callee < procs_.size(), "'", proc.name(),
+                              "' calls procedure id ", callee,
+                              " out of range");
+                    if (costs.farCallExtra > 0 &&
+                        lowered_.procDistance(p, callee) >
+                            costs.nearCallWindow) {
+                        cost += costs.farCallExtra;
+                        ++block.farCalls;
+                    }
+                }
+                block.body[activityOf(inst.op)] += cost;
+                pending += cost;
+                if (cyclesOnly(inst.op))
+                    continue;
+                out.ops.push_back({inst.op, inst.rd, inst.rs1, inst.rs2,
+                                   inst.imm, timed ? pending : 0});
+                if (timed)
+                    pending = 0;
+            }
+            block.opCount = uint32_t(out.ops.size()) - block.firstOp;
+            block.tailCycles = pending;
+
+            // Control: both outcomes' cycles, with the static prediction
+            // and a zeroed procedure's penalties already applied.
+            switch (lb.ctrl) {
+              case CtrlKind::Ret:
+                block.otherCost = costs.retOverhead;
+                break;
+              case CtrlKind::Fallthrough:
+              case CtrlKind::Jmp:
+                block.otherTarget = lb.otherTarget;
+                block.otherPos = position(lb.otherTarget);
+                block.otherCost = lb.ctrl == CtrlKind::Jmp ? costs.jump : 0;
+                break;
+              case CtrlKind::CondBr:
+              case CtrlKind::CondBrPlusJmp:
+                block.cond = lb.cond;
+                block.lhs = lb.lhs;
+                block.rhs = lb.rhs;
+                block.condTarget = lb.condTarget;
+                block.otherTarget = lb.otherTarget;
+                block.condPos = position(lb.condTarget);
+                block.otherPos = position(lb.otherTarget);
+                block.predictTaken =
+                    predictsTaken(config_.policy, pos, block.condPos);
+                block.condCost =
+                    costs.branchBase + (block.predictTaken ? 0 : flush);
+                block.otherCost =
+                    costs.branchBase + (block.predictTaken ? flush : 0);
+                if (lb.ctrl == CtrlKind::CondBrPlusJmp && !zeroed)
+                    block.otherCost += costs.jump;
+                break;
+            }
+            CT_ASSERT(block.otherPos < placed.order.size() &&
+                          block.condPos < placed.order.size(),
+                      "'", proc.name(), "': successor position out of range");
+            out.blocks.push_back(block);
+        }
+        out.visits.assign(out.blocks.size(), 0);
+        out.taken.assign(out.blocks.size(), 0);
+    }
 }
 
 RunResult
 Simulator::run(ir::ProcId entry, size_t count)
 {
-    CT_ASSERT(entry < module_.procedureCount(), "run: bad entry procedure");
+    CT_ASSERT(entry < procs_.size(), "run: bad entry procedure");
     CT_SPAN("sim.run");
 
     RunResult result;
-    result.profile.resize(module_.procedureCount());
-    result.invocations.assign(module_.procedureCount(), 0);
-    result.procCycles.assign(module_.procedureCount(), 0);
+    result.profile.resize(procs_.size());
+    result.invocations.assign(procs_.size(), 0);
+    result.procCycles.assign(procs_.size(), 0);
 
     std::fill(ram_.begin(), ram_.end(), 0);
-    cycles_ = 0;
+    for (auto &proc : procs_) {
+        std::fill(proc.visits.begin(), proc.visits.end(), 0);
+        std::fill(proc.taken.begin(), proc.taken.end(), 0);
+    }
 
+    uint64_t cycles = 0; // absolute cycle counter across the run
+    uint64_t idle = 0;
     for (size_t i = 0; i < count; ++i) {
-        execProcedure(entry, result, 0);
+        cycles = execProcedure(entry, result, 0, cycles);
         if (config_.maxGapCycles > 0) {
             uint64_t gap = gapRng_.below(config_.maxGapCycles + 1);
-            cycles_ += gap;
-            result.activity[Activity::Idle] += gap;
+            cycles += gap;
+            idle += gap;
         }
     }
-    result.totalCycles = cycles_;
+    result.totalCycles = cycles;
     result.finalRam = ram_;
+    fold(result, idle);
 
     // Batch-level self-measurement: recorded once per run() so the
     // per-instruction path stays unobserved (and unperturbed).
@@ -57,237 +210,217 @@ Simulator::run(ir::ProcId entry, size_t count)
     return result;
 }
 
+void
+Simulator::fold(RunResult &result, uint64_t idle_cycles) const
+{
+    // Every count is an integer below 2^53, so each profile double
+    // equals the sum of 1.0 increments an edge-by-edge profile adds.
+    ActivityCycles &activity = result.activity;
+    uint64_t invocations = 0;
+    for (ir::ProcId p = 0; p < procs_.size(); ++p) {
+        const DecodedProc &proc = procs_[p];
+        ir::EdgeProfile &profile = result.profile[p];
+        invocations += result.invocations[p];
+        if (result.invocations[p] > 0)
+            profile.addInvocations(double(result.invocations[p]));
+
+        for (size_t pos = 0; pos < proc.blocks.size(); ++pos) {
+            const Block &block = proc.blocks[pos];
+            const uint64_t visits = proc.visits[pos];
+            const uint64_t held = proc.taken[pos];
+            const uint64_t other = visits - held;
+            result.instructions += visits * block.insts;
+            result.farCalls += visits * block.farCalls;
+            for (size_t a = 0; a < kActivityCount; ++a)
+                activity.cycles[a] += visits * block.body.cycles[a];
+            activity[Activity::CpuActive] +=
+                held * block.condCost + other * block.otherCost;
+
+            switch (block.ctrl) {
+              case CtrlKind::Ret:
+                break;
+              case CtrlKind::Jmp:
+                result.dynamicJumps += visits;
+                [[fallthrough]];
+              case CtrlKind::Fallthrough:
+                if (visits > 0)
+                    profile.addEdge(block.block, block.otherTarget,
+                                    double(visits));
+                break;
+              case CtrlKind::CondBrPlusJmp:
+                result.dynamicJumps += other;
+                [[fallthrough]];
+              case CtrlKind::CondBr:
+                result.branches.executed += visits;
+                result.branches.taken += held;
+                result.branches.mispredicted +=
+                    block.predictTaken ? other : held;
+                if (held > 0)
+                    profile.addEdge(block.block, block.condTarget,
+                                    double(held));
+                if (other > 0)
+                    profile.addEdge(block.block, block.otherTarget,
+                                    double(other));
+                break;
+            }
+        }
+    }
+    if (config_.timingProbes)
+        activity[Activity::CpuActive] +=
+            2 * invocations * config_.costs.timerRead;
+    activity[Activity::CpuActive] += result.isrFirings * config_.isrCycles;
+    activity[Activity::Idle] += idle_cycles;
+    CT_ASSERT(activity.total() == result.totalCycles,
+              "activity classes do not add up to the run's cycles");
+}
+
 uint64_t
 Simulator::execProcedure(ir::ProcId proc_id, RunResult &result,
-                         uint32_t depth)
+                         uint32_t depth, uint64_t cycles)
 {
     if (depth > config_.maxCallDepth)
         fatal("call depth exceeds ", config_.maxCallDepth,
               " (runaway recursion?)");
 
-    const ir::Procedure &proc = module_.procedure(proc_id);
-    const LoweredProc &placed = lowered_.procs[proc_id];
-    const CostModel &costs = config_.costs;
-
-    uint64_t invocation = result.invocations[proc_id]++;
-    result.profile[proc_id].addInvocations(1.0);
-
-    auto spend = [&](uint64_t n, Activity act) {
-        cycles_ += n;
-        result.activity[act] += n;
-    };
+    DecodedProc &proc = procs_[proc_id];
+    const uint64_t invocation = result.invocations[proc_id]++;
 
     trace::TimingRecord record;
     if (config_.timingProbes) {
-        spend(costs.timerRead, Activity::CpuActive);
+        cycles += config_.costs.timerRead;
         record.proc = proc_id;
         record.invocation = invocation;
-        record.startTick = timer_.ticksAt(cycles_);
+        record.startTick = timer_.ticksAt(cycles);
     }
-    const uint64_t body_start = cycles_;
+    const uint64_t body_start = cycles;
 
     ir::Word regs[ir::kNumRegs] = {};
-    size_t pos = 0; // entry is always physically first
+    uint32_t pos = 0; // entry is always physically first
     uint64_t steps = 0;
-    bool running = true;
 
-    while (running) {
+    for (;;) {
         if (++steps > config_.maxStepsPerInvocation)
-            fatal("invocation of '", proc.name(), "' exceeded ",
-                  config_.maxStepsPerInvocation,
+            fatal("invocation of '", module_.procedure(proc_id).name(),
+                  "' exceeded ", config_.maxStepsPerInvocation,
                   " blocks; non-terminating loop?");
 
-        const LoweredBlock &lb = placed.order[pos];
-        const ir::BasicBlock &bb = proc.block(lb.block);
+        const Block &block = proc.blocks[pos];
+        ++proc.visits[pos];
 
         // Unrelated interrupt preemption at the block boundary.
         if (config_.isrPerBlockProb > 0.0 &&
             gapRng_.bernoulli(config_.isrPerBlockProb)) {
-            spend(config_.isrCycles, Activity::CpuActive);
+            cycles += config_.isrCycles;
             ++result.isrFirings;
         }
 
-        // Straight-line body: one dispatch per instruction. Each case
-        // spends the instruction's cycles *before* executing its effect
-        // (TimerRead must observe a timer that already includes its own
-        // cost), so the cost model is identical to the historical
-        // two-switch form — this is purely a dispatch merge.
-        for (const auto &inst : bb.insts) {
+        const Op *op = proc.ops.data() + block.firstOp;
+        for (const Op *end = op + block.opCount; op != end; ++op) {
             using ir::Opcode;
-            const uint64_t cost = costs.cyclesFor(inst);
-            switch (inst.op) {
+            cycles += op->lead;
+            switch (op->op) {
               case Opcode::Nop:
-                spend(cost, Activity::CpuActive);
-                break;
               case Opcode::Sleep:
-                spend(cost, Activity::Sleep);
-                break;
+              case Opcode::RadioTx:
+                break; // cycles only; never decoded as ops
               case Opcode::Li:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = inst.imm;
+                regs[op->rd] = op->imm;
                 break;
               case Opcode::Mov:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1];
+                regs[op->rd] = regs[op->rs1];
                 break;
               case Opcode::Add:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2];
+                regs[op->rd] = regs[op->rs1] + regs[op->rs2];
                 break;
               case Opcode::AddI:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1] + inst.imm;
+                regs[op->rd] = regs[op->rs1] + op->imm;
                 break;
               case Opcode::Sub:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2];
+                regs[op->rd] = regs[op->rs1] - regs[op->rs2];
                 break;
               case Opcode::Mul:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2];
+                regs[op->rd] = regs[op->rs1] * regs[op->rs2];
                 break;
               case Opcode::And:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2];
+                regs[op->rd] = regs[op->rs1] & regs[op->rs2];
                 break;
               case Opcode::Or:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2];
+                regs[op->rd] = regs[op->rs1] | regs[op->rs2];
                 break;
               case Opcode::Xor:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1] ^ regs[inst.rs2];
+                regs[op->rd] = regs[op->rs1] ^ regs[op->rs2];
                 break;
               case Opcode::Shl:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = regs[inst.rs1] << (regs[inst.rs2] & 31);
+                regs[op->rd] = regs[op->rs1] << (regs[op->rs2] & 31);
                 break;
               case Opcode::Shr:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = ir::Word(uint32_t(regs[inst.rs1]) >>
-                                         (regs[inst.rs2] & 31));
+                regs[op->rd] = ir::Word(uint32_t(regs[op->rs1]) >>
+                                        (regs[op->rs2] & 31));
                 break;
               case Opcode::ShrI:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] =
-                    ir::Word(uint32_t(regs[inst.rs1]) >> (inst.imm & 31));
+                regs[op->rd] =
+                    ir::Word(uint32_t(regs[op->rs1]) >> (op->imm & 31));
                 break;
               case Opcode::Ld: {
-                spend(cost, Activity::CpuActive);
-                int64_t addr = int64_t(regs[inst.rs1]) + inst.imm;
+                int64_t addr = int64_t(regs[op->rs1]) + op->imm;
                 if (addr < 0 || size_t(addr) >= ram_.size())
-                    fatal("'", proc.name(), "': load address ", addr,
-                          " out of RAM (", ram_.size(), " words)");
-                regs[inst.rd] = ram_[size_t(addr)];
+                    fatal("'", module_.procedure(proc_id).name(),
+                          "': load address ", addr, " out of RAM (",
+                          ram_.size(), " words)");
+                regs[op->rd] = ram_[size_t(addr)];
                 break;
               }
               case Opcode::St: {
-                spend(cost, Activity::CpuActive);
-                int64_t addr = int64_t(regs[inst.rs1]) + inst.imm;
+                int64_t addr = int64_t(regs[op->rs1]) + op->imm;
                 if (addr < 0 || size_t(addr) >= ram_.size())
-                    fatal("'", proc.name(), "': store address ", addr,
-                          " out of RAM (", ram_.size(), " words)");
-                ram_[size_t(addr)] = regs[inst.rs2];
+                    fatal("'", module_.procedure(proc_id).name(),
+                          "': store address ", addr, " out of RAM (",
+                          ram_.size(), " words)");
+                ram_[size_t(addr)] = regs[op->rs2];
                 break;
               }
               case Opcode::Sense:
-                spend(cost, Activity::Sense);
-                regs[inst.rd] = inputs_.sense(int(inst.imm));
+                regs[op->rd] = inputs_.sense(int(op->imm));
                 break;
-              case Opcode::RadioTx:
-                spend(cost, Activity::RadioTx);
-                break; // payload value has no architectural effect
               case Opcode::RadioRx:
-                spend(cost, Activity::RadioRx);
-                regs[inst.rd] = inputs_.radioRx();
+                regs[op->rd] = inputs_.radioRx();
                 break;
               case Opcode::TimerRead:
-                spend(cost, Activity::CpuActive);
-                regs[inst.rd] = ir::Word(timer_.ticksAt(cycles_));
+                regs[op->rd] = ir::Word(timer_.ticksAt(cycles));
                 break;
-              case Opcode::Call: {
-                // Linkage charged before the recursive body, like every
-                // other case's cost.
-                spend(cost, Activity::CpuActive);
-                ir::ProcId callee = ir::ProcId(inst.imm);
-                if (costs.farCallExtra > 0 &&
-                    lowered_.procDistance(proc_id, callee) >
-                        costs.nearCallWindow) {
-                    spend(costs.farCallExtra, Activity::CpuActive);
-                    ++result.farCalls;
-                }
-                execProcedure(callee, result, depth + 1);
+              case Opcode::Call:
+                cycles = execProcedure(ir::ProcId(op->imm), result,
+                                       depth + 1, cycles);
                 break;
-              }
             }
         }
+        cycles += block.tailCycles;
 
-        result.instructions += bb.insts.size();
-
-        // Control transfer.
-        switch (lb.ctrl) {
-          case CtrlKind::Ret:
-            spend(costs.retOverhead, Activity::CpuActive);
-            running = false;
-            break;
-          case CtrlKind::Fallthrough:
-            result.profile[proc_id].addEdge(lb.block, lb.otherTarget);
-            pos = pos + 1;
-            break;
-          case CtrlKind::Jmp:
-            spend(costs.jump, Activity::CpuActive);
-            ++result.dynamicJumps;
-            result.profile[proc_id].addEdge(lb.block, lb.otherTarget);
-            pos = placed.positionOf[lb.otherTarget];
-            break;
-          case CtrlKind::CondBr:
-          case CtrlKind::CondBrPlusJmp: {
-            spend(costs.branchBase, Activity::CpuActive);
-            bool transfer = ir::evalCond(lb.cond, regs[lb.lhs], regs[lb.rhs]);
-            bool predicted = predictsTaken(config_.policy, pos,
-                                           placed.positionOf[lb.condTarget]);
-            // Counterfactual mode: the penalties vanish but the events
-            // still count, so profiles and branch stats match baseline.
-            bool zeroed = proc_id < config_.zeroCtrlPenalty.size() &&
-                          config_.zeroCtrlPenalty[proc_id];
-            ++result.branches.executed;
-            if (transfer)
-                ++result.branches.taken;
-            if (transfer != predicted) {
-                ++result.branches.mispredicted;
-                if (!zeroed)
-                    spend(costs.mispredictPenalty, Activity::CpuActive);
-            }
-            ir::BlockId next_block;
-            if (transfer) {
-                next_block = lb.condTarget;
-            } else {
-                next_block = lb.otherTarget;
-                if (lb.ctrl == CtrlKind::CondBrPlusJmp) {
-                    if (!zeroed)
-                        spend(costs.jump, Activity::CpuActive);
-                    ++result.dynamicJumps;
-                }
-            }
-            result.profile[proc_id].addEdge(lb.block, next_block);
-            // For CondBr with the transfer untaken, positionOf[next_block]
-            // is pos + 1 by construction of the lowering.
-            pos = placed.positionOf[next_block];
-            break;
-          }
+        // Control transfer: the edge, the branch outcome and the
+        // mispredict are derived from visits and taken when run() ends.
+        if (isConditional(block.ctrl) &&
+            holds(block.cond, regs[block.lhs], regs[block.rhs])) {
+            ++proc.taken[pos];
+            cycles += block.condCost;
+            pos = block.condPos;
+        } else {
+            cycles += block.otherCost;
+            if (block.ctrl == CtrlKind::Ret)
+                break;
+            pos = block.otherPos;
         }
     }
 
-    uint64_t body_cycles = cycles_ - body_start;
+    const uint64_t body_cycles = cycles - body_start;
     result.procCycles[proc_id] += body_cycles;
 
     if (config_.timingProbes) {
-        record.endTick = timer_.ticksAt(cycles_);
+        record.endTick = timer_.ticksAt(cycles);
         record.trueCycles = body_cycles;
-        spend(config_.costs.timerRead, Activity::CpuActive);
+        cycles += config_.costs.timerRead;
         result.trace.add(record);
     }
-    return body_cycles;
+    return cycles;
 }
 
 } // namespace ct::sim

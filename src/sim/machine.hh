@@ -92,6 +92,13 @@ struct RunResult
 /**
  * Executes procedures of one placed module. RAM persists across
  * invocations within a run (mote globals); registers are per-frame.
+ *
+ * The constructor decodes the placed module once under its config:
+ * each block's effectful ops, its cycles per activity class, its
+ * successor positions and its control costs with the prediction
+ * policy and any zeroed penalty applied. run() then only counts block
+ * visits and taken branches, and derives the statistics, the activity
+ * classes and the edge profile from those counts when it ends.
  */
 class Simulator
 {
@@ -116,9 +123,65 @@ class Simulator
     const LoweredModule &lowered() const { return lowered_; }
 
   private:
-    /** Execute one invocation of @p proc; returns its body cycles. */
+    /** A straight-line instruction with an architectural effect
+     *  (Nop, Sleep and RadioTx only spend cycles). */
+    struct Op
+    {
+        ir::Opcode op = ir::Opcode::Nop;
+        ir::Reg rd = 0;
+        ir::Reg rs1 = 0;
+        ir::Reg rs2 = 0;
+        ir::Word imm = 0;
+        /** Cycles spent before the effect: the op's own and those of the
+         *  cycle-only ops before it. 0 in blocks without TimerRead or
+         *  Call, whose body cycles are spent in bulk. */
+        uint64_t lead = 0;
+    };
+
+    /** One placed block, decoded. */
+    struct Block
+    {
+        uint32_t firstOp = 0; //!< into DecodedProc::ops
+        uint32_t opCount = 0;
+        uint64_t tailCycles = 0; //!< body cycles not in any op's lead
+        CtrlKind ctrl = CtrlKind::Ret;
+        ir::CondCode cond = ir::CondCode::Eq;
+        ir::Reg lhs = 0;
+        ir::Reg rhs = 0;
+        uint32_t condPos = 0;  //!< position reached when cond holds
+        uint32_t otherPos = 0; //!< position reached otherwise
+        uint64_t condCost = 0; //!< control cycles when cond holds
+        uint64_t otherCost = 0; //!< control cycles otherwise (Ret too)
+
+        /// @name Used only to derive a run's results
+        /// @{
+        ir::BlockId block = ir::kNoBlock;
+        ir::BlockId condTarget = ir::kNoBlock;
+        ir::BlockId otherTarget = ir::kNoBlock;
+        bool predictTaken = false;
+        uint32_t insts = 0;    //!< straight-line instruction count
+        uint32_t farCalls = 0; //!< Call ops that pay farCallExtra
+        ActivityCycles body;   //!< body cycles per activity class
+        /// @}
+    };
+
+    /** One procedure's decoded blocks plus its per-run counters. */
+    struct DecodedProc
+    {
+        std::vector<Block> blocks; //!< physical order
+        std::vector<Op> ops;
+        std::vector<uint64_t> visits; //!< per position, this run
+        std::vector<uint64_t> taken;  //!< cond held, per position
+    };
+
+    /** Execute one invocation of @p proc starting at cycle @p cycles;
+     *  returns the cycle counter after its exit. */
     uint64_t execProcedure(ir::ProcId proc, RunResult &result,
-                           uint32_t depth);
+                           uint32_t depth, uint64_t cycles);
+
+    /** Derive the block-count statistics, the activity classes and the
+     *  edge profile of a finished run from the counters. */
+    void fold(RunResult &result, uint64_t idle_cycles) const;
 
     const ir::Module &module_;
     LoweredModule lowered_;
@@ -127,7 +190,7 @@ class Simulator
     Timer timer_;
     Rng gapRng_;
     std::vector<ir::Word> ram_;
-    uint64_t cycles_ = 0; //!< absolute cycle counter across the run
+    std::vector<DecodedProc> procs_; //!< indexed by ProcId
 };
 
 } // namespace ct::sim

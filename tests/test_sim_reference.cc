@@ -437,17 +437,25 @@ buildProgram(const SimCase &c)
     check::FuzzProgram program = check::makeFuzzProgram(rng, config);
     ir::Module &module = *program.module;
 
+    // The leaf's second branch compares a centred sample, negative half
+    // the time, under a random condition, so the unsigned ones differ
+    // from the signed ones.
     ir::ProcedureBuilder leaf(module, "leaf");
     auto odd = leaf.newBlock("odd");
     auto even = leaf.newBlock("even");
+    auto low = leaf.newBlock("low");
     leaf.setBlock(0);
     leaf.sense(1, 0).timerRead(4).li(5, 1).band(6, 4, 5);
     leaf.br(ir::CondCode::Ne, 6, 0, odd, even);
     leaf.setBlock(odd);
-    leaf.mul(3, 1, 5).sleep(3).st(0, 900, 4);
-    leaf.ret();
+    leaf.mul(3, 1, 5).sleep(3).st(0, 900, 4).li(2, 500).sub(7, 1, 2);
+    leaf.li(8, ir::Word(rng.range(-200, 200)));
+    leaf.br(ir::CondCode(rng.below(6)), 7, 8, low, even);
     leaf.setBlock(even);
     leaf.radioTx(1).ld(7, 0, 900);
+    leaf.ret();
+    leaf.setBlock(low);
+    leaf.sleep(2);
     leaf.ret();
     const ir::ProcId leaf_id = leaf.finish();
 
