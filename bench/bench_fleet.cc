@@ -52,14 +52,6 @@ parseList(const std::string &text)
     return out;
 }
 
-std::string
-scratchDir(const std::string &tag)
-{
-    auto dir = fs::temp_directory_path() / ("ct_bench_fleet_" + tag);
-    fs::remove_all(dir);
-    return dir.string();
-}
-
 /** Hex digest the way fleet_collect prints it. */
 std::string
 hexDigest(uint64_t digest)
@@ -189,7 +181,8 @@ main(int argc, char **argv)
     for (bool metrics_on : {false, true}) {
         size_t motes = motes_list.back();
         size_t shards = shards_list.back();
-        auto dir = scratchDir(metrics_on ? "metrics_on" : "metrics_off");
+        auto dir = scratchDir("ct_bench_fleet",
+                              metrics_on ? "metrics_on" : "metrics_off");
         obs::setMetricsEnabled(metrics_on);
         auto result = campaign(motes, shards, dir);
         obs::setMetricsEnabled(false);
@@ -203,7 +196,9 @@ main(int argc, char **argv)
         row.recordsPerSecond = result.recordsPerSecond();
         worstLatency(result, row.p50Ns, row.p99Ns);
         perf.push_back(row);
-        if (!keep_dirs)
+        if (keep_dirs)
+            inform("kept store ", dir);
+        else
             fs::remove_all(dir);
     }
 

@@ -30,14 +30,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string
-scratchDir(const std::string &tag)
-{
-    auto dir = fs::temp_directory_path() / ("ct_bench_store_" + tag);
-    fs::remove_all(dir);
-    return dir.string();
-}
-
 net::EstimatorBank
 makeBank(const workloads::Workload &workload,
          const sim::LoweredModule &lowered, const sim::SimConfig &config)
@@ -80,7 +72,8 @@ main(int argc, char **argv)
     // --- Append sweep: group-commit batch size vs fsync count. ------
     for (size_t batch : {size_t(1), size_t(8), size_t(64), size_t(256),
                          size_t(1024)}) {
-        auto dir = scratchDir("append_" + std::to_string(batch));
+        auto dir =
+            scratchDir("ct_bench_store", "append_" + std::to_string(batch));
         store::StoreConfig config;
         config.segmentBytes = segbytes;
         config.fsyncEveryRecords = batch;
@@ -105,7 +98,9 @@ main(int argc, char **argv)
                    " records/s, ",
                    double(stats.bytesAppended) / 1e6 / elapsed_s, " MB/s");
         }
-        if (!keep_dirs)
+        if (keep_dirs)
+            inform("kept store ", dir);
+        else
             fs::remove_all(dir);
     }
 
@@ -113,8 +108,9 @@ main(int argc, char **argv)
     for (size_t length : {records.size() / 4, records.size() / 2,
                           records.size()}) {
         for (bool checkpoint : {false, true}) {
-            auto dir = scratchDir("recover_" + std::to_string(length) +
-                                  (checkpoint ? "_ckpt" : "_wal"));
+            auto dir = scratchDir("ct_bench_store",
+                                  "recover_" + std::to_string(length) +
+                                      (checkpoint ? "_ckpt" : "_wal"));
             store::StoreConfig config;
             config.segmentBytes = segbytes;
             config.fsyncEveryRecords = 256;
@@ -147,7 +143,9 @@ main(int argc, char **argv)
             inform("recover ", length, " records ",
                    checkpoint ? "with" : "without", " checkpoint: ", us,
                    " us (", replayed, " entries replayed)");
-            if (!keep_dirs)
+            if (keep_dirs)
+                inform("kept store ", dir);
+            else
                 fs::remove_all(dir);
         }
     }

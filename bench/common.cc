@@ -1,12 +1,14 @@
 #include "common.hh"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 
@@ -43,6 +45,16 @@ csvPath(const std::string &name)
 {
     ensureDir("results");
     return "results/" + name + ".csv";
+}
+
+std::string
+scratchDir(const std::string &prefix, const std::string &tag)
+{
+    namespace fs = std::filesystem;
+    auto dir = fs::temp_directory_path() /
+               (prefix + "_" + tag + "_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    return dir.string();
 }
 
 namespace {

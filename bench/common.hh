@@ -26,6 +26,13 @@ namespace ct::bench {
 std::string csvPath(const std::string &name);
 
 /**
+ * "<temp>/<prefix>_<tag>_<pid>" under the system temp directory,
+ * emptied: a bench's scratch store, private to this process, so two
+ * runs at once never share one.
+ */
+std::string scratchDir(const std::string &prefix, const std::string &tag);
+
+/**
  * Print a table and mirror it to results/<csv_name>.csv, reporting the
  * written path. When metrics recording is on (CT_METRICS_OUT set), the
  * obs registry is also dumped to results/<csv_name>.metrics.json.
