@@ -72,8 +72,10 @@ Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
             p < config_.zeroCtrlPenalty.size() && config_.zeroCtrlPenalty[p];
         const uint64_t flush = zeroed ? 0 : costs.mispredictPenalty;
         auto position = [&](ir::BlockId target) {
-            CT_ASSERT(target < placed.positionOf.size(), "'", proc.name(),
-                      "': successor bb", target, " out of range");
+            CT_ASSERT(target < placed.positionOf.size() &&
+                          placed.positionOf[target] < placed.order.size(),
+                      "'", proc.name(), "': successor bb", target,
+                      " is not placed");
             return uint32_t(placed.positionOf[target]);
         };
         DecodedProc &out = procs_[p];
@@ -155,9 +157,6 @@ Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
                     block.otherCost += costs.jump;
                 break;
             }
-            CT_ASSERT(block.otherPos < placed.order.size() &&
-                          block.condPos < placed.order.size(),
-                      "'", proc.name(), "': successor position out of range");
             out.blocks.push_back(block);
         }
         out.visits.assign(out.blocks.size(), 0);
