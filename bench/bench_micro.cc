@@ -34,12 +34,18 @@ namespace {
 /** --jobs value (resolved); settable before benchmark::Initialize. */
 size_t g_jobs = 1;
 
+/**
+ * 100 crc16 invocations on one simulator: with the boundary probes on
+ * (the measure lane) and off (the evaluate lane, which scores every
+ * placement).
+ */
 void
-BM_SimulateCrc16(benchmark::State &state)
+BM_SimulateCrc16(benchmark::State &state, bool probes)
 {
     auto workload = workloads::makeCrc16();
     sim::SimConfig config;
     config.maxGapCycles = 0;
+    config.timingProbes = probes;
     auto inputs = workload.makeInputs(1);
     sim::Simulator simulator(*workload.module,
                              sim::lowerModule(*workload.module), config,
@@ -50,7 +56,8 @@ BM_SimulateCrc16(benchmark::State &state)
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * 100);
 }
-BENCHMARK(BM_SimulateCrc16);
+BENCHMARK_CAPTURE(BM_SimulateCrc16, probes, true);
+BENCHMARK_CAPTURE(BM_SimulateCrc16, deployed, false);
 
 void
 BM_FundamentalMatrix(benchmark::State &state)
