@@ -115,10 +115,7 @@ runRow(const sim::RunResult &run)
         trace = fnv1aWord(uint64_t(record.endTick), trace);
         trace = fnv1aWord(record.trueCycles, trace);
     }
-    std::string activity;
-    for (uint64_t cycles : run.activity.cycles)
-        activity += fmtRow(activity.empty() ? "%llu" : " %llu",
-                           (unsigned long long)cycles);
+    const auto &activity = run.activity.cycles;
     return fmtRow("%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,",
                   (unsigned long long)run.totalCycles,
                   (unsigned long long)run.instructions,
@@ -128,7 +125,8 @@ runRow(const sim::RunResult &run)
                   (unsigned long long)run.dynamicJumps,
                   (unsigned long long)run.isrFirings,
                   (unsigned long long)run.farCalls) +
-           activity + "," + joinCounts(run.invocations) + "," +
+           joinCounts({activity.begin(), activity.end()}) + "," +
+           joinCounts(run.invocations) + "," +
            joinCounts(run.procCycles) + "," +
            fmtRow("%zu,%016llx,%016llx,%016llx", run.trace.size(),
                   (unsigned long long)ram, (unsigned long long)profile,

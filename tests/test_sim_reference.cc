@@ -1,13 +1,12 @@
 /**
  * @file
- * sim::Simulator against a per-instruction reference: the interpreter
- * the simulator used before it decoded each placed program once, kept
- * here as a test-only copy. The reference spends every instruction's
- * cycles from CostModel::cyclesFor, evaluates every branch with
- * ir::evalCond and sim::predictsTaken, and adds one 1.0 to the edge
- * profile per control transfer. The simulator must reproduce every
- * RunResult field bit for bit, over random programs and random machine
- * configurations, on two consecutive runs of one simulator.
+ * sim::Simulator against a per-instruction reference interpreter of
+ * the same machine, which decodes nothing and folds nothing: it spends
+ * every instruction's cycles from CostModel::cyclesFor, evaluates every
+ * branch with ir::evalCond and sim::predictsTaken, and adds one 1.0 to
+ * the edge profile per control transfer. The simulator must reproduce
+ * every RunResult field bit for bit, over random programs and random
+ * machine configurations, on two consecutive runs of one simulator.
  */
 
 #include <gtest/gtest.h>
@@ -32,8 +31,8 @@ using namespace ct;
 
 namespace {
 
-/** The per-instruction interpreter, as sim::Simulator ran it before
- *  it decoded placed programs (telemetry left out). */
+/** The per-instruction interpreter: sim::Simulator's semantics with
+ *  every cost, prediction and profile edge computed per event. */
 class ReferenceSimulator
 {
   public:
