@@ -531,4 +531,66 @@ TEST(PropGolden, SimulatorRunsMatchSnapshot)
     EXPECT_TRUE(result.ok) << result.message;
 }
 
+TEST(PropGolden, EvaluateLanesMatchSnapshot)
+{
+    // Every LayoutOutcome field of full pipeline runs of every program
+    // at two seeds: the default machine, ISR preemption, the BTFN and
+    // Taken policies, and a one-page flash budget (six placements).
+    // Rates and energy print at %.17g, so the snapshot pins them bit
+    // for bit.
+    struct Variant
+    {
+        const char *name;
+        void (*apply)(api::PipelineConfig &);
+    };
+    const Variant variants[] = {
+        {"default", [](api::PipelineConfig &) {}},
+        {"isr", [](api::PipelineConfig &c) { c.sim.isrPerBlockProb = 0.05; }},
+        {"btfn",
+         [](api::PipelineConfig &c) { c.sim.policy = sim::PredictPolicy::BTFN; }},
+        {"taken",
+         [](api::PipelineConfig &c) {
+             c.sim.policy = sim::PredictPolicy::Taken;
+         }},
+        {"budget_1page",
+         [](api::PipelineConfig &c) {
+             c.budget.enabled = true;
+             c.budget.spec.flashPages = 1;
+         }},
+    };
+    std::string out =
+        "# pipeline outcomes: 600 measure / 1500 eval invocations, jobs=1\n"
+        "program,seed,config,layout,mispredict_rate,taken_rate,"
+        "total_cycles,mispredicted,branches_executed,dynamic_jumps,"
+        "energy_uj\n";
+    for (const auto &workload : workloads::allWorkloads()) {
+        for (uint64_t seed : {1, 2}) {
+            for (const Variant &variant : variants) {
+                api::PipelineConfig config;
+                config.seed = seed;
+                config.measureInvocations = 600;
+                config.evalInvocations = 1500;
+                config.jobs = 1;
+                variant.apply(config);
+                auto result = api::TomographyPipeline(workload, config).run();
+                for (const auto &o : result.outcomes)
+                    out += fmtRow("%s,%llu,%s,%s,%.17g,%.17g,%llu,%llu,%llu,"
+                                  "%llu,%.17g\n",
+                                  workload.name.c_str(),
+                                  (unsigned long long)seed, variant.name,
+                                  o.name.c_str(), o.mispredictRate,
+                                  o.takenRate,
+                                  (unsigned long long)o.totalCycles,
+                                  (unsigned long long)o.mispredicted,
+                                  (unsigned long long)o.branchesExecuted,
+                                  (unsigned long long)o.dynamicJumps,
+                                  o.energyMicrojoules);
+            }
+        }
+    }
+    auto result =
+        check::compareGolden(goldenPath("evaluate_lanes.txt"), out);
+    EXPECT_TRUE(result.ok) << result.message;
+}
+
 } // namespace
