@@ -1,6 +1,5 @@
 #include "api/pipeline.hh"
 
-#include "exec/thread_pool.hh"
 #include "layout/evaluator.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -168,24 +167,39 @@ LayoutOutcome
 TomographyPipeline::evaluate(const std::string &name,
                              const std::vector<sim::BlockOrder> &orders)
 {
+    return evaluatePlacements({name}, {orders}).front();
+}
+
+std::vector<LayoutOutcome>
+TomographyPipeline::evaluatePlacements(
+    const std::vector<std::string> &names,
+    const std::vector<std::vector<sim::BlockOrder>> &placements)
+{
     CT_SPAN("pipeline.evaluate");
     // Deployment build (no probes); every placement sees the same events.
-    auto run = workloads::evaluateLane(workload_, orders, config_.sim,
-                                       config_.seed, config_.evalInvocations);
+    auto runs = workloads::evaluateLane(workload_, placements, config_.sim,
+                                        config_.seed, config_.evalInvocations);
 
-    LayoutOutcome out;
-    out.name = name;
-    out.mispredictRate = run.branches.mispredictRate();
-    out.takenRate = run.branches.takenRate();
-    out.totalCycles = run.totalCycles;
-    out.mispredicted = run.branches.mispredicted;
-    out.branchesExecuted = run.branches.executed;
-    out.dynamicJumps = run.dynamicJumps;
-    out.energyMicrojoules =
-        sim::telosEnergyModel().energyMicrojoules(run.activity);
+    std::vector<LayoutOutcome> outcomes;
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const sim::RunResult &run = runs[i];
+        LayoutOutcome out;
+        out.name = names[i];
+        out.mispredictRate = run.branches.mispredictRate();
+        out.takenRate = run.branches.takenRate();
+        out.totalCycles = run.totalCycles;
+        out.mispredicted = run.branches.mispredicted;
+        out.branchesExecuted = run.branches.executed;
+        out.dynamicJumps = run.dynamicJumps;
+        out.energyMicrojoules =
+            sim::telosEnergyModel().energyMicrojoules(run.activity);
+        outcomes.push_back(std::move(out));
+    }
     if (obs::metricsEnabled())
-        obs::metrics().counter("pipeline.evaluate.placements").add(1);
-    return out;
+        obs::metrics()
+            .counter("pipeline.evaluate.placements")
+            .add(placements.size());
+    return outcomes;
 }
 
 PipelineResult
@@ -270,43 +284,35 @@ TomographyPipeline::runStages()
         result.causal = causalProfile(result.measureRun, result.estimate);
 
     // Budget-constrained selection over the estimate (the chosen mixed
-    // layout joins the evaluation fan-out below as "budget").
+    // layout joins the evaluated candidates below as "budget").
     if (config_.budget.enabled)
         result.budget = planBudget(result.estimate);
 
-    // Candidate placements.
+    // Candidate placements, in outcome order. The orders share one Rng
+    // stream; one evaluate lane then simulates the first and prices
+    // the rest.
     Rng rng(workloads::candidateSeed(config_.seed));
     const auto &module = *workload_.module;
-
-    // Orders are computed serially (they share one Rng stream), then
-    // the evaluations — each with its own simulator, seeded only
-    // by the campaign seed — fan out over the pool. parallelMap writes
-    // outcome i to slot i, so the result is bit-identical to the old
-    // serial loop for every jobs value.
-    struct Candidate
-    {
-        const char *name;
-        std::vector<sim::BlockOrder> orders;
+    std::vector<std::string> names;
+    std::vector<std::vector<sim::BlockOrder>> placements;
+    auto candidate = [&](const char *name,
+                         std::vector<sim::BlockOrder> orders) {
+        names.push_back(name);
+        placements.push_back(std::move(orders));
     };
-    std::vector<Candidate> candidates;
     auto baseline = [&](const char *name, layout::LayoutKind kind) {
-        candidates.push_back(
-            {name, layout::computeModuleOrders(
-                       module, result.measureRun.profile, kind, rng)});
+        candidate(name, layout::computeModuleOrders(
+                            module, result.measureRun.profile, kind, rng));
     };
     baseline("natural", layout::LayoutKind::Natural);
     baseline("random", layout::LayoutKind::Random);
     baseline("dfs", layout::LayoutKind::Dfs);
-    candidates.push_back({"tomography", optimize(result.estimate.profile)});
+    candidate("tomography", optimize(result.estimate.profile));
     baseline("perfect", layout::LayoutKind::ProfileGuided);
     if (config_.budget.enabled)
-        candidates.push_back({"budget", result.budget.orders});
+        candidate("budget", result.budget.orders);
 
-    exec::ThreadPool pool(config_.jobs);
-    result.outcomes =
-        exec::parallelMap(pool, candidates.size(), [&](size_t i) {
-            return evaluate(candidates[i].name, candidates[i].orders);
-        });
+    result.outcomes = evaluatePlacements(names, placements);
     return result;
 }
 

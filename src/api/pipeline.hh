@@ -11,10 +11,11 @@
  *                 branch probabilities / edge frequencies;
  *   3. optimize — feed the estimated profile to the code placement
  *                 pass;
- *   4. evaluate — re-simulate every candidate placement (probes off)
- *                 and report misprediction rates and cycle counts,
- *                 alongside an oracle placement computed from the true
- *                 profile.
+ *   4. evaluate — score every candidate placement (probes off) on the
+ *                 same events — one simulation, the rest priced from
+ *                 its edge profile — and report misprediction rates
+ *                 and cycle counts, alongside an oracle placement
+ *                 computed from the true profile.
  */
 
 #ifndef CT_API_PIPELINE_HH
@@ -95,12 +96,9 @@ struct PipelineConfig
     size_t evalInvocations = 5'000;
     uint64_t seed = 1;
     /**
-     * Worker threads for the placement-evaluation fan-out. 0 = auto:
-     * the CT_JOBS environment variable when set, else the hardware
-     * thread count. 1 = the exact historical serial path (no worker
-     * threads at all). Every evaluation derives its seeds from the
-     * placement, never from the executing thread, so results are
-     * bit-identical for every jobs value — see exec/thread_pool.hh.
+     * No longer changes what runs: the evaluate lane simulates one
+     * placement and prices the rest on the calling thread, so there is
+     * nothing to fan out. Kept because existing callers still set it.
      */
     size_t jobs = 0;
 
@@ -249,6 +247,7 @@ class TomographyPipeline
      * calls this and evaluates the result.
      */
     BudgetOutcome planBudget(const tomography::ModuleEstimate &estimate);
+    /** Simulate one placement on the evaluate lane. */
     LayoutOutcome evaluate(const std::string &name,
                            const std::vector<sim::BlockOrder> &orders);
     /// @}
@@ -259,6 +258,12 @@ class TomographyPipeline
   private:
     /** The four stages under one root span, sans exporter handling. */
     PipelineResult runStages();
+
+    /** Score @p placements in one evaluate lane, naming outcome i
+     *  @p names[i]. */
+    std::vector<LayoutOutcome> evaluatePlacements(
+        const std::vector<std::string> &names,
+        const std::vector<std::vector<sim::BlockOrder>> &placements);
 
     workloads::Workload workload_;
     PipelineConfig config_;

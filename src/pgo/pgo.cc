@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "causal/causal.hh"
-#include "exec/thread_pool.hh"
 #include "fleet/fleet.hh"
 #include "layout/placement.hh"
 #include "net/collector.hh"
@@ -111,7 +110,6 @@ ContinuousPgo::run()
         regimes.push_back(Regime{.windows = config_.windows});
 
     DriftDetector detector(config_.drift);
-    exec::ThreadPool pool(config_.jobs);
     int64_t cumulative_regret = 0;
     size_t pending_swap = size_t(-1); // swap awaiting its post window
     size_t window = 0;
@@ -132,19 +130,15 @@ ContinuousPgo::run()
                 config_.windowInvocations, &shift);
             ingest(probe.trace);
 
-            // Live + clairvoyant lanes: evaluate lanes under one seed,
-            // so cycle differences are placement alone. The oracle
-            // re-places from this window's own ground-truth profile —
-            // what "re-place every window" would deploy.
-            auto oracle_orders =
-                workloads::placeFromProfile(module, probe.profile, sw);
-            const std::vector<sim::BlockOrder> *lane_orders[2] = {
-                &current_orders, &oracle_orders};
-            auto lanes = exec::parallelMap(pool, 2, [&](size_t lane) {
-                return workloads::evaluateLane(
-                    workload_, *lane_orders[lane], config_.sim, sw,
-                    config_.windowInvocations, &shift);
-            });
+            // Live + clairvoyant lanes: one evaluate lane, so cycle
+            // differences are placement alone. The oracle re-places
+            // from this window's own ground-truth profile — what
+            // "re-place every window" would deploy.
+            auto lanes = workloads::evaluateLane(
+                workload_,
+                {current_orders,
+                 workloads::placeFromProfile(module, probe.profile, sw)},
+                config_.sim, sw, config_.windowInvocations, &shift);
             const sim::RunResult &live = lanes[0];
             const sim::RunResult &oracle = lanes[1];
 

@@ -139,8 +139,10 @@ struct PgoConfig
 
     sim::SimConfig sim;
     uint64_t seed = 1;
-    /** Lane fan-out worker threads (exec::resolveJobs semantics).
-     *  Results are bit-identical for every value. */
+    /** No longer changes what runs: a window's live and oracle lanes
+     *  are one evaluate lane, one simulation and one priced placement,
+     *  on the calling thread. Kept because existing callers still set
+     *  it. */
     size_t jobs = 1;
 };
 

@@ -55,21 +55,39 @@ isConditional(CtrlKind ctrl)
 
 } // namespace
 
+bool
+readsTimer(const ir::Module &module)
+{
+    for (ir::ProcId p = 0; p < module.procedureCount(); ++p)
+        for (const ir::BasicBlock &bb : module.procedure(p).blocks())
+            for (const ir::Inst &inst : bb.insts)
+                if (inst.op == ir::Opcode::TimerRead)
+                    return true;
+    return false;
+}
+
 Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
                      SimConfig config, InputSource &inputs, uint64_t seed)
     : module_(module), lowered_(std::move(lowered)), config_(config),
       inputs_(inputs), timer_(config.cyclesPerTick), gapRng_(seed),
-      ram_(config.ramWords, 0), procs_(module.procedureCount())
+      ram_(config.ramWords, 0), procs_(decode(module, lowered_, config_))
 {
-    CT_ASSERT(lowered_.procs.size() == module.procedureCount(),
-              "lowered module does not match the logical module");
-    const CostModel &costs = config_.costs;
+}
 
-    for (ir::ProcId p = 0; p < procs_.size(); ++p) {
+std::vector<Simulator::DecodedProc>
+Simulator::decode(const ir::Module &module, const LoweredModule &lowered,
+                  const SimConfig &config)
+{
+    CT_ASSERT(lowered.procs.size() == module.procedureCount(),
+              "lowered module does not match the logical module");
+    const CostModel &costs = config.costs;
+    std::vector<DecodedProc> procs(module.procedureCount());
+
+    for (ir::ProcId p = 0; p < procs.size(); ++p) {
         const ir::Procedure &proc = module.procedure(p);
-        const LoweredProc &placed = lowered_.procs[p];
+        const LoweredProc &placed = lowered.procs[p];
         const bool zeroed =
-            p < config_.zeroCtrlPenalty.size() && config_.zeroCtrlPenalty[p];
+            p < config.zeroCtrlPenalty.size() && config.zeroCtrlPenalty[p];
         const uint64_t flush = zeroed ? 0 : costs.mispredictPenalty;
         auto position = [&](ir::BlockId target) {
             CT_ASSERT(target < placed.positionOf.size() &&
@@ -78,7 +96,7 @@ Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
                       " is not placed");
             return uint32_t(placed.positionOf[target]);
         };
-        DecodedProc &out = procs_[p];
+        DecodedProc &out = procs[p];
 
         for (uint32_t pos = 0; pos < placed.order.size(); ++pos) {
             const LoweredBlock &lb = placed.order[pos];
@@ -104,11 +122,11 @@ Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
                 uint64_t cost = costs.cyclesFor(inst);
                 if (inst.op == ir::Opcode::Call) {
                     const auto callee = ir::ProcId(inst.imm);
-                    CT_ASSERT(callee < procs_.size(), "'", proc.name(),
+                    CT_ASSERT(callee < procs.size(), "'", proc.name(),
                               "' calls procedure id ", callee,
                               " out of range");
                     if (costs.farCallExtra > 0 &&
-                        lowered_.procDistance(p, callee) >
+                        lowered.procDistance(p, callee) >
                             costs.nearCallWindow) {
                         cost += costs.farCallExtra;
                         ++block.farCalls;
@@ -148,7 +166,7 @@ Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
                 block.condPos = position(lb.condTarget);
                 block.otherPos = position(lb.otherTarget);
                 block.predictTaken =
-                    predictsTaken(config_.policy, pos, block.condPos);
+                    predictsTaken(config.policy, pos, block.condPos);
                 block.condCost =
                     costs.branchBase + (block.predictTaken ? 0 : flush);
                 block.otherCost =
@@ -162,6 +180,7 @@ Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
         out.visits.assign(out.blocks.size(), 0);
         out.taken.assign(out.blocks.size(), 0);
     }
+    return procs;
 }
 
 RunResult
@@ -193,7 +212,9 @@ Simulator::run(ir::ProcId entry, size_t count)
     }
     result.totalCycles = cycles;
     result.finalRam = ram_;
-    fold(result, idle);
+    fold(procs_, config_, result, idle);
+    CT_ASSERT(result.activity.total() == result.totalCycles,
+              "activity classes do not add up to the run's cycles");
 
     // Batch-level self-measurement: recorded once per run() so the
     // per-instruction path stays unobserved (and unperturbed).
@@ -209,15 +230,61 @@ Simulator::run(ir::ProcId entry, size_t count)
     return result;
 }
 
+RunResult
+Simulator::price(const ir::Module &module, const LoweredModule &lowered,
+                 const SimConfig &config, const RunResult &simulated)
+{
+    CT_ASSERT(!config.timingProbes,
+              "price: a probed run's trace depends on its placement");
+    CT_ASSERT(!readsTimer(module),
+              "price: a TimerRead lets control flow depend on the placement");
+    CT_ASSERT(simulated.profile.size() == module.procedureCount() &&
+                  simulated.invocations.size() == module.procedureCount(),
+              "price: the simulated run is of another module");
+    std::vector<DecodedProc> procs = decode(module, lowered, config);
+
+    // A block that transfers control is visited once per traversal of
+    // its out-edges, a Ret block once per traversal of its in-edges
+    // plus, as the entry, once per invocation. A conditional's
+    // condition held once per traversal to its condTarget, which the
+    // verifier keeps apart from its otherTarget.
+    for (ir::ProcId p = 0; p < procs.size(); ++p) {
+        DecodedProc &proc = procs[p];
+        const std::vector<size_t> &position = lowered.procs[p].positionOf;
+        for (const auto &[edge, count] : simulated.profile[p].cells()) {
+            const size_t from = position[edge.first];
+            const size_t to = position[edge.second];
+            proc.visits[from] += uint64_t(count);
+            if (proc.blocks[from].condTarget == edge.second)
+                proc.taken[from] += uint64_t(count);
+            if (proc.blocks[to].ctrl == CtrlKind::Ret)
+                proc.visits[to] += uint64_t(count);
+        }
+        if (proc.blocks[0].ctrl == CtrlKind::Ret) // the entry is first
+            proc.visits[0] += simulated.invocations[p];
+    }
+
+    RunResult result;
+    result.profile.resize(procs.size());
+    result.invocations = simulated.invocations;
+    result.isrFirings = simulated.isrFirings;
+    result.finalRam = simulated.finalRam;
+    fold(procs, config, result, simulated.activity[Activity::Idle]);
+    result.totalCycles = result.activity.total();
+    return result;
+}
+
 void
-Simulator::fold(RunResult &result, uint64_t idle_cycles) const
+Simulator::fold(const std::vector<DecodedProc> &procs,
+                const SimConfig &config, RunResult &result,
+                uint64_t idle_cycles)
 {
     // Every count is an integer below 2^53, so each profile double
     // equals the sum of 1.0 increments an edge-by-edge profile adds.
     ActivityCycles &activity = result.activity;
     uint64_t invocations = 0;
-    for (ir::ProcId p = 0; p < procs_.size(); ++p) {
-        const DecodedProc &proc = procs_[p];
+    for (ir::ProcId p = 0; p < procs.size(); ++p) {
+        const DecodedProc &proc = procs[p];
         ir::EdgeProfile &profile = result.profile[p];
         invocations += result.invocations[p];
         if (result.invocations[p] > 0)
@@ -264,13 +331,11 @@ Simulator::fold(RunResult &result, uint64_t idle_cycles) const
             }
         }
     }
-    if (config_.timingProbes)
+    if (config.timingProbes)
         activity[Activity::CpuActive] +=
-            2 * invocations * config_.costs.timerRead;
-    activity[Activity::CpuActive] += result.isrFirings * config_.isrCycles;
+            2 * invocations * config.costs.timerRead;
+    activity[Activity::CpuActive] += result.isrFirings * config.isrCycles;
     activity[Activity::Idle] += idle_cycles;
-    CT_ASSERT(activity.total() == result.totalCycles,
-              "activity classes do not add up to the run's cycles");
 }
 
 uint64_t

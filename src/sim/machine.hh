@@ -85,9 +85,15 @@ struct RunResult
     uint64_t farCalls = 0;      //!< calls that paid the far-call extra
     ActivityCycles activity;    //!< cycle classification for energy
     std::vector<uint64_t> invocations; //!< per-ProcId invocation counts
-    std::vector<uint64_t> procCycles;  //!< per-ProcId body cycles (inclusive)
+    /** Per-ProcId body cycles, inclusive of callees; empty in a priced
+     *  result (Simulator::price). */
+    std::vector<uint64_t> procCycles;
     std::vector<ir::Word> finalRam;    //!< RAM snapshot after the run
 };
+
+/** Whether any procedure of @p module executes TimerRead, the one
+ *  instruction that observes the cycle counter. */
+bool readsTimer(const ir::Module &module);
 
 /**
  * Executes procedures of one placed module. RAM persists across
@@ -98,7 +104,8 @@ struct RunResult
  * successor positions and its control costs with the prediction
  * policy and any zeroed penalty applied. run() then only counts block
  * visits and taken branches, and derives the statistics, the activity
- * classes and the edge profile from those counts when it ends.
+ * classes and the edge profile from those counts when it ends. price()
+ * derives the same counts for another placement from a finished run.
  */
 class Simulator
 {
@@ -118,6 +125,24 @@ class Simulator
      * random idle gaps), collecting profile/trace/stats.
      */
     RunResult run(ir::ProcId entry, size_t count);
+
+    /**
+     * What run() returns for @p lowered, derived from @p simulated: a
+     * run() of another placement of @p module under the same config,
+     * entry, count, inputs and seed. When no event observes the cycle
+     * counter (probes off, no TimerRead; both asserted), every
+     * placement executes the same instructions and draws the same ISR,
+     * gap and input values, so the placements differ only in what a
+     * block visit and a branch outcome cost. The visits and outcomes
+     * come from @p simulated's edge profile and fold() does the rest,
+     * so every field is bitwise run()'s except procCycles, which is
+     * left empty: inclusive per-frame cycles are no function of the
+     * counts. Needs the placement's decode but no inputs and no seed.
+     */
+    static RunResult price(const ir::Module &module,
+                           const LoweredModule &lowered,
+                           const SimConfig &config,
+                           const RunResult &simulated);
 
     const SimConfig &config() const { return config_; }
     const LoweredModule &lowered() const { return lowered_; }
@@ -174,14 +199,23 @@ class Simulator
         std::vector<uint64_t> taken;  //!< cond held, per position
     };
 
+    /** Decode every procedure of @p lowered under @p config, with
+     *  zeroed counters. */
+    static std::vector<DecodedProc> decode(const ir::Module &module,
+                                           const LoweredModule &lowered,
+                                           const SimConfig &config);
+
     /** Execute one invocation of @p proc starting at cycle @p cycles;
      *  returns the cycle counter after its exit. */
     uint64_t execProcedure(ir::ProcId proc, RunResult &result,
                            uint32_t depth, uint64_t cycles);
 
     /** Derive the block-count statistics, the activity classes and the
-     *  edge profile of a finished run from the counters. */
-    void fold(RunResult &result, uint64_t idle_cycles) const;
+     *  edge profile of a finished run from the counters of @p procs,
+     *  given its invocations, ISR firings and @p idle_cycles. */
+    static void fold(const std::vector<DecodedProc> &procs,
+                     const SimConfig &config, RunResult &result,
+                     uint64_t idle_cycles);
 
     const ir::Module &module_;
     LoweredModule lowered_;

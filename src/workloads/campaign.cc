@@ -86,17 +86,30 @@ measureLane(const Workload &workload, const sim::LoweredModule &natural,
                     invocations, shift); // "meas"
 }
 
-sim::RunResult
+std::vector<sim::RunResult>
 evaluateLane(const Workload &workload,
-             const std::vector<sim::BlockOrder> &orders,
+             const std::vector<std::vector<sim::BlockOrder>> &placements,
              const sim::SimConfig &config, uint64_t seed, size_t invocations,
              const InputShift *shift)
 {
     sim::SimConfig deployed = config;
     deployed.timingProbes = false;
-    return simulate(workload, sim::lowerModule(*workload.module, orders),
-                    deployed, seed + 1, seed ^ 0x6576616c, invocations,
-                    shift); // "eval"
+    const ir::Module &module = *workload.module;
+    const bool priced = !sim::readsTimer(module);
+    std::vector<sim::RunResult> runs;
+    runs.reserve(placements.size());
+    for (const auto &orders : placements) {
+        auto lowered = sim::lowerModule(module, orders);
+        if (priced && !runs.empty())
+            runs.push_back(sim::Simulator::price(module, lowered, deployed,
+                                                 runs.front()));
+        else
+            runs.push_back(simulate(workload, std::move(lowered), deployed,
+                                    seed + 1, seed ^ 0x6576616c, invocations,
+                                    shift)); // "eval"
+        runs.back().procCycles.clear();
+    }
+    return runs;
 }
 
 sim::RunResult

@@ -73,14 +73,20 @@ sim::RunResult measureLane(const Workload &workload,
                            size_t invocations,
                            const InputShift *shift = nullptr);
 
-/** The evaluate lane: @p orders with probes off. Inputs and simulator
- *  depend on @p seed alone, so placements evaluated under one seed see
- *  the same events and differ in placement alone. */
-sim::RunResult evaluateLane(const Workload &workload,
-                            const std::vector<sim::BlockOrder> &orders,
-                            const sim::SimConfig &config, uint64_t seed,
-                            size_t invocations,
-                            const InputShift *shift = nullptr);
+/** The evaluate lane: every placement in @p placements (per-procedure
+ *  orders) with probes off, one result per placement, in order. Inputs
+ *  and simulator depend on @p seed alone, so placements evaluated under
+ *  one seed see the same events and differ in placement alone: the lane
+ *  simulates the first placement and prices every other from that
+ *  run's edge profile (sim::Simulator::price), bit for bit. A module
+ *  that reads the timer can branch on the placement's cycles, so then
+ *  the lane simulates each placement. procCycles is empty in every
+ *  result: pricing cannot derive it and no lane caller reads it. */
+std::vector<sim::RunResult>
+evaluateLane(const Workload &workload,
+             const std::vector<std::vector<sim::BlockOrder>> &placements,
+             const sim::SimConfig &config, uint64_t seed, size_t invocations,
+             const InputShift *shift = nullptr);
 
 /** One run of @p invocations on @p lowered, seeded by @p seeds alone
  *  (probes as @p config sets them): a fleet mote's own campaign, or a

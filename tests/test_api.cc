@@ -121,9 +121,9 @@ TEST(Pipeline, DeterministicGivenSeed)
 
 TEST(Pipeline, ResultIdenticalForAnyJobsCount)
 {
-    // The parallel evaluation fan-out must be invisible in the numbers:
-    // every field of every outcome bit-identical between the serial
-    // path (jobs=1) and a saturated pool (jobs=4).
+    // jobs no longer changes what runs (one evaluate lane scores every
+    // placement on the calling thread): every field of every outcome
+    // is bit-identical between jobs=1 and jobs=4.
     for (const char *name : {"crc16", "collection_tree"}) {
         auto serial_config = fastConfig();
         serial_config.jobs = 1;

@@ -267,7 +267,7 @@ TEST_F(ObsTraceTest, PipelineRunExportsNestedPhaseSpansAndEmSeries)
     EXPECT_TRUE(nestedWithin(measure, root));
     EXPECT_TRUE(nestedWithin(estimate, root));
     EXPECT_TRUE(nestedWithin(optimize, root));
-    // evaluate runs five times (one per candidate placement).
+    // One evaluate lane scores all five candidate placements.
     size_t evaluates = 0;
     for (const auto &event : doc->get("traceEvents")->array) {
         if (event->get("name")->string != "pipeline.evaluate")
@@ -275,12 +275,14 @@ TEST_F(ObsTraceTest, PipelineRunExportsNestedPhaseSpansAndEmSeries)
         ++evaluates;
         EXPECT_TRUE(nestedWithin(event, root));
     }
-    EXPECT_EQ(evaluates, 5u);
-    // The simulator's own spans nest under the stages that invoke it.
+    EXPECT_EQ(evaluates, 1u);
+    // The simulator's own spans nest under the stages that invoke it:
+    // the measure lane and the lane's one simulated placement; the
+    // other four are priced from its counts.
     size_t sim_runs = 0;
     for (const auto &event : doc->get("traceEvents")->array)
         sim_runs += event->get("name")->string == "sim.run";
-    EXPECT_GE(sim_runs, 6u); // 1 measure + 5 evaluates
+    EXPECT_EQ(sim_runs, 2u);
 
     auto metrics_doc = testjson::parseJson(trim(slurp(metrics_path)));
     ASSERT_NE(metrics_doc, nullptr) << "metrics JSON must parse strictly";
@@ -295,6 +297,9 @@ TEST_F(ObsTraceTest, PipelineRunExportsNestedPhaseSpansAndEmSeries)
     EXPECT_EQ(residual->array.size(), series->array.size());
     auto counters = metrics_doc->get("counters");
     EXPECT_NE(counters->get("sim.instructions"), nullptr);
+    auto placements = counters->get("pipeline.evaluate.placements");
+    ASSERT_NE(placements, nullptr);
+    EXPECT_EQ(placements->number, 5.0);
     EXPECT_NE(counters->get("pipeline.runs"), nullptr);
     auto hists = metrics_doc->get("histograms");
     EXPECT_NE(hists->get("pipeline.measure_us"), nullptr);

@@ -122,7 +122,7 @@ TEST(Pgo, ClosedLoopSmokeWithParallelLanes)
                    pgo::Regime{.windows = 3, .senseOffset = 150.0}};
     cfg.drift.hysteresisWindows = 1;
     cfg.drift.cooldownWindows = 1;
-    cfg.jobs = 4; // the TSan lane leans on this exercising the pool
+    cfg.jobs = 4; // starts no thread: both lanes are one evaluate lane
     pgo::ContinuousPgo loop(workload, cfg);
     auto result = loop.run();
 

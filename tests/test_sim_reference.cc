@@ -7,6 +7,9 @@
  * the edge profile per control transfer. The simulator must reproduce
  * every RunResult field bit for bit, over random programs and random
  * machine configurations, on two consecutive runs of one simulator.
+ * Simulator::price must likewise reproduce a simulated run of each
+ * placement from a run of another, and the evaluate lane must return
+ * for every placement what it returns for that placement alone.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "layout/placement.hh"
 #include "sim/machine.hh"
 #include "util/logging.hh"
+#include "workloads/campaign.hh"
 
 #include "prop_util.hh"
 
@@ -424,9 +428,11 @@ showSimCase(const SimCase &c)
  * write only r7-r9, r12 and r14, which the generated CFG never reads,
  * so every program still terminates; the leaf branches on the parity
  * of a timer read, so control flow depends on exact cycle counts.
+ * Without @p timer, a sensor sample replaces the leaf's timer read and
+ * a Sense each inserted one, so no instruction reads the timer.
  */
 check::FuzzProgram
-buildProgram(const SimCase &c)
+buildProgram(const SimCase &c, bool timer = true)
 {
     using ir::Inst;
     using ir::Opcode;
@@ -444,7 +450,12 @@ buildProgram(const SimCase &c)
     auto even = leaf.newBlock("even");
     auto low = leaf.newBlock("low");
     leaf.setBlock(0);
-    leaf.sense(1, 0).timerRead(4).li(5, 1).band(6, 4, 5);
+    leaf.sense(1, 0);
+    if (timer)
+        leaf.timerRead(4);
+    else
+        leaf.sense(4, 0);
+    leaf.li(5, 1).band(6, 4, 5);
     leaf.br(ir::CondCode::Ne, 6, 0, odd, even);
     leaf.setBlock(odd);
     leaf.mul(3, 1, 5).sleep(3).st(0, 900, 4).li(2, 500).sub(7, 1, 2);
@@ -481,6 +492,8 @@ buildProgram(const SimCase &c)
         size_t extra = size_t(rng.range(0, 3));
         for (size_t k = 0; k < extra; ++k) {
             Inst inst = menu[rng.below(menu.size())];
+            if (!timer && inst.op == Opcode::TimerRead)
+                inst = {Opcode::Sense, 12, 0, 0, 0};
             if (inst.op == Opcode::St || inst.op == Opcode::Ld)
                 inst.imm = ir::Word(rng.range(0, 1000));
             if (inst.op == Opcode::Sleep)
@@ -491,6 +504,47 @@ buildProgram(const SimCase &c)
         }
     }
     return program;
+}
+
+/** @p program's sensor streams plus a radio stream. */
+std::unique_ptr<sim::ScriptedInputs>
+makeInputs(const check::FuzzProgram &program, uint64_t seed)
+{
+    auto inputs = program.makeInputs(seed);
+    inputs->setRadio(makeUniform(0.0, 1000.0));
+    return inputs;
+}
+
+/** The machine @p c describes, for a module of @p procs procedures. */
+sim::SimConfig
+machine(const SimCase &c, size_t procs)
+{
+    sim::SimConfig config;
+    config.costs = c.micaz ? sim::micazCostModel() : sim::telosCostModel();
+    config.costs.farCallExtra = c.farCallExtra;
+    config.costs.nearCallWindow = c.nearCallWindow;
+    config.policy = c.policy;
+    config.cyclesPerTick = c.cyclesPerTick;
+    config.timingProbes = c.probes;
+    config.maxGapCycles = c.maxGapCycles;
+    config.isrPerBlockProb = c.isrProb;
+    config.isrCycles = c.isrCycles;
+    for (ir::ProcId p = 0; p < procs && c.zeroMask >> p; ++p)
+        config.zeroCtrlPenalty.push_back((c.zeroMask >> p) & 1);
+    return config;
+}
+
+/** Place @p lowered's procedures in a random flash order. */
+void
+permuteProcs(sim::LoweredModule &lowered, uint64_t seed)
+{
+    std::vector<ir::ProcId> proc_order(lowered.procs.size());
+    for (ir::ProcId p = 0; p < proc_order.size(); ++p)
+        proc_order[p] = p;
+    Rng order_rng(seed);
+    for (size_t i = proc_order.size(); i > 1; --i)
+        std::swap(proc_order[i - 1], proc_order[order_rng.below(i)]);
+    lowered.setProcOrder(proc_order);
 }
 
 std::optional<std::string>
@@ -508,34 +562,11 @@ checkSimCase(const SimCase &c)
             module, layout::computeModuleOrders(
                         module, no_profile, layout::LayoutKind::Random, rng));
     }
-    std::vector<ir::ProcId> proc_order(procs);
-    for (ir::ProcId p = 0; p < procs; ++p)
-        proc_order[p] = p;
-    Rng order_rng(c.procOrderSeed);
-    for (size_t i = procs; i > 1; --i)
-        std::swap(proc_order[i - 1], proc_order[order_rng.below(i)]);
-    lowered.setProcOrder(proc_order);
+    permuteProcs(lowered, c.procOrderSeed);
 
-    sim::SimConfig config;
-    config.costs = c.micaz ? sim::micazCostModel() : sim::telosCostModel();
-    config.costs.farCallExtra = c.farCallExtra;
-    config.costs.nearCallWindow = c.nearCallWindow;
-    config.policy = c.policy;
-    config.cyclesPerTick = c.cyclesPerTick;
-    config.timingProbes = c.probes;
-    config.maxGapCycles = c.maxGapCycles;
-    config.isrPerBlockProb = c.isrProb;
-    config.isrCycles = c.isrCycles;
-    for (ir::ProcId p = 0; p < procs && c.zeroMask >> p; ++p)
-        config.zeroCtrlPenalty.push_back((c.zeroMask >> p) & 1);
-
-    auto make_inputs = [&] {
-        auto inputs = program.makeInputs(c.inputSeed);
-        inputs->setRadio(makeUniform(0.0, 1000.0));
-        return inputs;
-    };
-    auto ref_inputs = make_inputs();
-    auto sim_inputs = make_inputs();
+    const sim::SimConfig config = machine(c, procs);
+    auto ref_inputs = makeInputs(program, c.inputSeed);
+    auto sim_inputs = makeInputs(program, c.inputSeed);
     ReferenceSimulator reference(module, lowered, config, *ref_inputs,
                                  c.simSeed);
     sim::Simulator simulator(module, lowered, config, *sim_inputs,
@@ -551,6 +582,99 @@ checkSimCase(const SimCase &c)
     return std::nullopt;
 }
 
+/** Several placements of one random program on one deployed machine. */
+struct PriceCase
+{
+    SimCase sim;           //!< program, machine and seeds; probes off
+    bool timer = false;    //!< the program reads the timer
+    size_t placements = 2;
+    size_t procOrdered = 0; //!< the placement in a permuted flash order
+    uint64_t placementSeed = 0;
+};
+
+PriceCase
+genPriceCase(Rng &rng)
+{
+    PriceCase c;
+    c.sim = genSimCase(rng);
+    c.sim.probes = false;
+    c.timer = rng.bernoulli(0.25);
+    c.placements = size_t(rng.range(2, 6));
+    c.procOrdered = size_t(rng.below(c.placements));
+    c.placementSeed = rng.next();
+    return c;
+}
+
+std::string
+showPriceCase(const PriceCase &c)
+{
+    char buf[128];
+    std::snprintf(buf, sizeof buf,
+                  " timer=%d placements=%zu procOrdered=%zu "
+                  "placementSeed=0x%llx",
+                  int(c.timer), c.placements, c.procOrdered,
+                  (unsigned long long)c.placementSeed);
+    return showSimCase(c.sim) + buf;
+}
+
+std::optional<std::string>
+checkPriceCase(const PriceCase &c)
+{
+    const check::FuzzProgram program = buildProgram(c.sim, c.timer);
+    const ir::Module &module = *program.module;
+    const sim::SimConfig config = machine(c.sim, module.procedureCount());
+    const size_t n = c.sim.invocations[0];
+
+    Rng rng(c.placementSeed);
+    ir::ModuleProfile no_profile(module.procedureCount());
+    std::vector<std::vector<sim::BlockOrder>> orders;
+    std::vector<sim::LoweredModule> placements;
+    for (size_t i = 0; i < c.placements; ++i) {
+        orders.push_back(layout::computeModuleOrders(
+            module, no_profile, layout::LayoutKind::Random, rng));
+        placements.push_back(sim::lowerModule(module, orders.back()));
+        if (i == c.procOrdered)
+            permuteProcs(placements.back(), c.sim.procOrderSeed);
+    }
+
+    if (!c.timer) {
+        std::vector<sim::RunResult> runs;
+        for (const auto &lowered : placements) {
+            auto inputs = makeInputs(program, c.sim.inputSeed);
+            sim::Simulator simulator(module, lowered, config, *inputs,
+                                     c.sim.simSeed);
+            runs.push_back(simulator.run(program.entry, n));
+            runs.back().procCycles.clear();
+        }
+        for (size_t i = 0; i < placements.size(); ++i) {
+            auto priced =
+                sim::Simulator::price(module, placements[i], config, runs[0]);
+            auto diff = firstDifference(priced, runs[i]);
+            if (!diff.empty())
+                return diff + " of placement " + std::to_string(i) +
+                       " differs between priced and simulated";
+        }
+    }
+
+    // The lane prices only a module that cannot read the timer; either
+    // way each placement's result is the one it gets alone.
+    auto workload = program.workload();
+    workload.makeInputs = [&program](uint64_t seed) {
+        return makeInputs(program, seed);
+    };
+    auto lane = workloads::evaluateLane(workload, orders, config,
+                                        c.sim.simSeed, n);
+    for (size_t i = 0; i < orders.size(); ++i) {
+        auto alone = workloads::evaluateLane(workload, {orders[i]}, config,
+                                             c.sim.simSeed, n);
+        auto diff = firstDifference(lane[i], alone.front());
+        if (!diff.empty())
+            return diff + " of placement " + std::to_string(i) +
+                   " differs between the lane and its own evaluation";
+    }
+    return std::nullopt;
+}
+
 } // namespace
 
 TEST(SimReference, MatchesPerInstructionReferenceBitForBit)
@@ -558,4 +682,31 @@ TEST(SimReference, MatchesPerInstructionReferenceBitForBit)
     CT_EXPECT_PROP(check::forAll<SimCase>(
         "SimReference.MatchesPerInstructionReferenceBitForBit", genSimCase,
         checkSimCase, nullptr, showSimCase, {.iterations = 300}));
+}
+
+TEST(SimPricing, PricedRunsMatchSimulatedBitForBit)
+{
+    CT_EXPECT_PROP(check::forAll<PriceCase>(
+        "SimPricing.PricedRunsMatchSimulatedBitForBit", genPriceCase,
+        checkPriceCase, nullptr, showPriceCase, {.iterations = 200}));
+}
+
+TEST(SimPricingDeathTest, RefusesTimerReadsAndProbes)
+{
+    SimCase c;
+    c.genSeed = 7;
+    auto price = [&](bool timer, bool probes) {
+        const check::FuzzProgram program = buildProgram(c, timer);
+        const ir::Module &module = *program.module;
+        sim::SimConfig config;
+        config.timingProbes = probes;
+        const auto lowered = sim::lowerModule(module);
+        auto inputs = makeInputs(program, 1);
+        sim::Simulator simulator(module, lowered, config, *inputs, 2);
+        auto run = simulator.run(program.entry, 10);
+        sim::Simulator::price(module, lowered, config, run);
+    };
+    price(false, false);
+    EXPECT_DEATH(price(true, false), "TimerRead");
+    EXPECT_DEATH(price(false, true), "probed run");
 }
