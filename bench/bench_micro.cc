@@ -19,6 +19,7 @@
 
 #include "api/pipeline.hh"
 #include "exec/thread_pool.hh"
+#include "layout/placement.hh"
 #include "markov/chain.hh"
 #include "sim/machine.hh"
 #include "tomography/em_estimator.hh"
@@ -36,7 +37,7 @@ size_t g_jobs = 1;
 
 /**
  * 100 crc16 invocations on one simulator: with the boundary probes on
- * (the measure lane) and off (the evaluate lane, which scores every
+ * (the measure lane) and off (the evaluate lane's one simulated
  * placement).
  */
 void
@@ -58,6 +59,34 @@ BM_SimulateCrc16(benchmark::State &state, bool probes)
 }
 BENCHMARK_CAPTURE(BM_SimulateCrc16, probes, true);
 BENCHMARK_CAPTURE(BM_SimulateCrc16, deployed, false);
+
+/**
+ * Simulator::price of a random crc16 placement from a deployed run of
+ * the natural one: what the evaluate lane pays per placement after its
+ * first. It does not depend on the run's invocation count.
+ */
+void
+BM_PriceCrc16(benchmark::State &state)
+{
+    auto workload = workloads::makeCrc16();
+    const ir::Module &module = *workload.module;
+    sim::SimConfig config;
+    config.timingProbes = false;
+    auto inputs = workload.makeInputs(1);
+    sim::Simulator simulator(module, sim::lowerModule(module), config,
+                             *inputs, 2);
+    auto run = simulator.run(workload.entry, 100);
+    Rng rng(3);
+    ir::ModuleProfile no_profile(module.procedureCount());
+    auto placed = sim::lowerModule(
+        module, layout::computeModuleOrders(module, no_profile,
+                                            layout::LayoutKind::Random, rng));
+    for (auto _ : state) {
+        auto priced = sim::Simulator::price(module, placed, config, run);
+        benchmark::DoNotOptimize(priced.totalCycles);
+    }
+}
+BENCHMARK(BM_PriceCrc16);
 
 void
 BM_FundamentalMatrix(benchmark::State &state)
