@@ -12,13 +12,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "api/pipeline.hh"
-#include "exec/thread_pool.hh"
 #include "layout/placement.hh"
 #include "markov/chain.hh"
 #include "sim/machine.hh"
@@ -31,9 +29,6 @@
 using namespace ct;
 
 namespace {
-
-/** --jobs value (resolved); settable before benchmark::Initialize. */
-size_t g_jobs = 1;
 
 /**
  * 100 crc16 invocations on one simulator: with the boundary probes on
@@ -207,11 +202,8 @@ BM_EmSolveCrc16(benchmark::State &state)
 }
 BENCHMARK(BM_EmSolveCrc16);
 
-/**
- * The full pipeline at the configured --jobs count: with jobs > 1 the
- * five placement evaluations run concurrently. Results are identical
- * for every jobs value; only the wall time moves.
- */
+/** One event_dispatch pipeline run: measure, estimate, optimize and
+ *  one evaluate lane over every candidate placement. */
 void
 BM_PipelineRun(benchmark::State &state)
 {
@@ -221,13 +213,11 @@ BM_PipelineRun(benchmark::State &state)
     config.evalInvocations = 1000;
     config.sim.cyclesPerTick = 4;
     config.seed = 3;
-    config.jobs = g_jobs;
     for (auto _ : state) {
         api::TomographyPipeline pipeline(workload, config);
         auto result = pipeline.run();
         benchmark::DoNotOptimize(result.outcomes.size());
     }
-    state.SetLabel("jobs=" + std::to_string(g_jobs));
 }
 BENCHMARK(BM_PipelineRun);
 
@@ -282,34 +272,17 @@ BENCHMARK_CAPTURE(BM_StreamingObserve, event_dispatch, "event_dispatch", 1);
 } // namespace
 
 /**
- * Custom main instead of BENCHMARK_MAIN(): google-benchmark rejects
- * unknown flags, so --jobs is peeled off first, and a JSON report under
- * results/ is requested by default so every run leaves a record.
+ * Custom main instead of BENCHMARK_MAIN(): a JSON report under results/
+ * is requested by default so every run leaves a record.
  */
 int
 main(int argc, char **argv)
 {
-    std::vector<char *> passthrough;
-    passthrough.reserve(size_t(argc) + 2);
+    std::vector<char *> passthrough(argv, argv + argc);
     bool has_out = false;
-    long jobs_arg = 0;
-    std::string jobs_value;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs_value = argv[i] + 7;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs_value = argv[++i];
-            continue;
-        }
+    for (int i = 0; i < argc; ++i)
         if (std::strncmp(argv[i], "--benchmark_out", 15) == 0)
             has_out = true;
-        passthrough.push_back(argv[i]);
-    }
-    if (!jobs_value.empty())
-        jobs_arg = std::atol(jobs_value.c_str());
-    g_jobs = exec::resolveJobs(jobs_arg > 0 ? size_t(jobs_arg) : 0);
 
     std::string out_flag = "--benchmark_out=results/bench_micro.json";
     std::string fmt_flag = "--benchmark_out_format=json";

@@ -15,7 +15,7 @@
  *   results/BENCH_pgo.{csv,json} — uploaded as the perf artifact;
  *   decisions are deterministic per cell, wall-clock is not.
  *
- *   bench_pgo --workload alarm_threshold --windows 4 --jobs 8
+ *   bench_pgo --workload alarm_threshold --windows 4
  */
 
 #include "common.hh"
@@ -45,7 +45,7 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv,
-                 {"workload", "seed", "jobs", "measure", "invocations",
+                 {"workload", "seed", "measure", "invocations",
                   "windows", "offset", "triggers", "forgettings"});
     auto workload =
         workloads::workloadByName(args.get("workload", "alarm_threshold"));
@@ -65,7 +65,6 @@ main(int argc, char **argv)
         for (double forgetting : forgettings) {
             pgo::PgoConfig config;
             config.seed = uint64_t(args.getLong("seed", 7));
-            config.jobs = jobsFromArgs(args);
             config.measureInvocations =
                 size_t(args.getLong("measure", 800));
             config.windowInvocations =

@@ -15,7 +15,7 @@
  * assertion.
  *
  *   continuous_pgo --workload alarm_threshold --windows 4 \
- *       --offset 150 --jobs 8 --expect-reoptimize 2 --log-out log.txt
+ *       --offset 150 --expect-reoptimize 2 --log-out log.txt
  */
 
 #include <fstream>
@@ -35,7 +35,7 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv,
-                 {"workload", "seed", "jobs", "measure", "invocations",
+                 {"workload", "seed", "measure", "invocations",
                   "windows", "offset", "forgetting", "trigger", "clear",
                   "gate-fraction", "store", "log-out",
                   "expect-reoptimize"});
@@ -54,7 +54,6 @@ main(int argc, char **argv)
 
     pgo::PgoConfig config;
     config.seed = uint64_t(args.getLong("seed", 7));
-    config.jobs = size_t(args.getLong("jobs", 0));
     config.measureInvocations = size_t(args.getLong("measure", 800));
     config.windowInvocations = size_t(args.getLong("invocations", 200));
     config.forgetting = args.getDouble("forgetting", 0.02);

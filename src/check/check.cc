@@ -1,5 +1,6 @@
 #include "check/check.hh"
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -107,16 +108,16 @@ reproLine(const Failure &failure)
     // Property names ("Estimator.EmRecovers...") are not gtest test
     // names ("PropEstimatorRoundTrip.EmRecovers..."), so filter on the
     // leaf segment after the last dot — shared between both namings —
-    // or the printed command would match zero tests.
+    // or the printed command would match zero tests. The binary is the
+    // running one: ct_tests and ct_prop_tests both hold properties.
     std::string leaf = failure.property;
     if (auto dot = leaf.rfind('.'); dot != std::string::npos)
         leaf = leaf.substr(dot + 1);
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "CT_CHECK_SEED=0x%" PRIx64
-                  " ./tests/ct_prop_tests --gtest_filter='*%s*'",
-                  failure.caseSeed, leaf.c_str());
-    return buf;
+    char seed[32];
+    std::snprintf(seed, sizeof seed, "CT_CHECK_SEED=0x%" PRIx64,
+                  failure.caseSeed);
+    return std::string(seed) + " " + program_invocation_name +
+           " --gtest_filter='*" + leaf + "*'";
 }
 
 std::string

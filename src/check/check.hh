@@ -97,7 +97,8 @@ struct Result
     std::string report() const;
 };
 
-/** Render the reproduction recipe for @p failure (one line). */
+/** Render the reproduction recipe for @p failure (one line): the case
+ *  seed, the running binary and a filter on the property's leaf name. */
 std::string reproLine(const Failure &failure);
 
 /**

@@ -26,8 +26,8 @@
  * (causal::rankingGate), hot-swapping the mixed layout into the live
  * lane. Before/after mispredict rates and the regret series are
  * recorded as `pgo.*` obs metrics; every decision appends one
- * fixed-format line to a decision log that is byte-identical across
- * --jobs values (the golden snapshot + CI diff hook).
+ * fixed-format line to a decision log that is byte-identical from run
+ * to run (the golden snapshot).
  */
 
 #ifndef CT_PGO_PGO_HH
@@ -139,11 +139,6 @@ struct PgoConfig
 
     sim::SimConfig sim;
     uint64_t seed = 1;
-    /** No longer changes what runs: a window's live and oracle lanes
-     *  are one evaluate lane, one simulation and one priced placement,
-     *  on the calling thread. Kept because existing callers still set
-     *  it. */
-    size_t jobs = 1;
 };
 
 /** One window's telemetry. */
@@ -206,8 +201,8 @@ struct PgoResult
     std::vector<WindowReport> windowReports;
     std::vector<SwapEvent> swapEvents;
 
-    /** Fixed-format, newline-terminated decision log — byte-identical
-     *  across jobs counts; golden-snapshotted in tests. */
+    /** Fixed-format, newline-terminated decision log — deterministic;
+     *  golden-snapshotted in tests. */
     std::string decisionLog;
 
     /** The bootstrap placement (== the pipeline's tomography orders). */

@@ -32,35 +32,6 @@ makeEstimator(EstimatorKind kind, const EstimatorOptions &options)
     panic("makeEstimator: bad kind");
 }
 
-PathFeatures
-extractFeatures(const TimingModel &model, const markov::Path &path)
-{
-    PathFeatures features;
-    features.takenCount.assign(model.paramCount(), 0);
-    features.fallCount.assign(model.paramCount(), 0);
-
-    // Map branch block -> parameter index.
-    // (Small procedures: a linear scan per step is fine.)
-    const auto &params = model.params();
-    for (size_t step = 0; step + 1 < path.states.size(); ++step) {
-        size_t from = path.states[step];
-        size_t to = path.states[step + 1];
-        for (size_t p = 0; p < params.size(); ++p) {
-            if (params[p].block != from)
-                continue;
-            if (params[p].takenTarget == ir::BlockId(to))
-                ++features.takenCount[p];
-            else if (params[p].fallTarget == ir::BlockId(to))
-                ++features.fallCount[p];
-            break;
-        }
-    }
-    // The final state may also be a branch block only if the walk exits
-    // there, which cannot happen (branch blocks have no exit mass), so
-    // no terminal handling is required.
-    return features;
-}
-
 ModuleEstimate
 estimateBottomUp(const ir::Module &module, const sim::LoweredModule &lowered,
                  const sim::CostModel &costs, sim::PredictPolicy policy,

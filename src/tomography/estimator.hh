@@ -7,12 +7,12 @@
 #ifndef CT_TOMOGRAPHY_ESTIMATOR_HH
 #define CT_TOMOGRAPHY_ESTIMATOR_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "markov/paths.hh"
 #include "tomography/timing_model.hh"
 #include "trace/timing_trace.hh"
 
@@ -27,11 +27,29 @@ enum class EstimatorKind {
 
 const char *estimatorName(EstimatorKind kind);
 
+/**
+ * Bounds on the latent path set. Loops make the exact set infinite, so
+ * PathTable::build unrolls them up to a per-state visit cap and prunes
+ * walks below a probability floor; PathTable::coveredMass reports the
+ * mass that is left.
+ */
+struct PathEnumOptions
+{
+    /** Drop paths whose probability falls below this while expanding. */
+    double minProb = 1e-6;
+    /** Per-state visit cap (bounds loop unrolling). */
+    uint32_t maxVisitsPerState = 12;
+    /** Hard cap on the number of emitted paths. */
+    size_t maxPaths = 50'000;
+    /** Hard cap on path length. */
+    size_t maxLength = 4'096;
+};
+
 /** Knobs shared by the estimators. */
 struct EstimatorOptions
 {
     /** Bounded path enumeration limits (Linear and Em). */
-    markov::PathEnumOptions pathEnum;
+    PathEnumOptions pathEnum;
     /** Assumed per-timestamp jitter sigma, ticks (see NoiseKernel). */
     double jitterSigmaTicks = 0.0;
     /** Maximum EM / gradient iterations. */
@@ -89,18 +107,6 @@ class Estimator
 
 std::unique_ptr<Estimator> makeEstimator(EstimatorKind kind,
                                          const EstimatorOptions &options);
-
-/** Per-path branch decision counts (how often each parameter resolved
- *  taken / fallthrough along the path). */
-struct PathFeatures
-{
-    std::vector<uint32_t> takenCount; //!< per parameter
-    std::vector<uint32_t> fallCount;  //!< per parameter
-};
-
-/** Extract decision counts for one enumerated path. */
-PathFeatures extractFeatures(const TimingModel &model,
-                             const markov::Path &path);
 
 /** Whole-module estimation outcome. */
 struct ModuleEstimate

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "tomography/noise_kernel.hh"
 #include "util/logging.hh"
@@ -12,6 +13,127 @@
 namespace ct::tomography {
 
 namespace {
+
+/** One path the walk emits. */
+struct WalkPath
+{
+    double prob;   //!< probability of exactly this walk
+    double reward; //!< walk total, cycles
+    double var;    //!< residual callee variance along the walk, cycles^2
+    uint32_t row;  //!< its decision counts: Walk::counts row
+};
+
+/**
+ * The bounded depth-first walk of a chain from one state. It carries
+ * each path's probability, reward, callee variance and decision counts
+ * as it descends, adding in visit order: a reward grows as
+ * (reward + state) + edge and ends as (reward + state) + exit, and the
+ * variance is a running sum from 0.0.
+ */
+class Walk
+{
+  public:
+    Walk(const TimingModel &model, const markov::AbsorbingChain &chain,
+         const PathEnumOptions &options)
+        : chain_(chain), options_(options), width_(2 * model.paramCount()),
+          successors_(chain.size()), exitProb_(chain.size()),
+          variance_(chain.size()), visits_(chain.size(), 0),
+          decisions_(width_, 0)
+    {
+        const auto &params = model.params();
+        for (size_t state = 0; state < chain.size(); ++state) {
+            exitProb_[state] = chain.exitProb(state);
+            variance_[state] = model.blockVariance(ir::BlockId(state));
+            auto param = std::find_if(
+                params.begin(), params.end(),
+                [&](const BranchParam &b) { return b.block == state; });
+            for (size_t next = 0; next < chain.size(); ++next) {
+                double p = chain.transition(state, next);
+                if (p <= 0.0)
+                    continue;
+                size_t slot = kNoSlot;
+                if (param != params.end()) {
+                    const size_t b = size_t(param - params.begin());
+                    if (param->takenTarget == ir::BlockId(next))
+                        slot = b;
+                    else if (param->fallTarget == ir::BlockId(next))
+                        slot = params.size() + b;
+                }
+                successors_[state].push_back(
+                    {next, p, chain.edgeReward(state, next), slot});
+            }
+        }
+    }
+
+    /** Emitted paths, in walk order. */
+    std::vector<WalkPath> paths;
+    /** Decision counts, one row of 2 * paramCount per path: how often
+     *  it takes each parameter's branch, then falls through it. */
+    std::vector<uint32_t> counts;
+
+    /** Walk on from @p state, reached with @p prob and @p reward after
+     *  @p depth states whose callee variance sums to @p var. */
+    void
+    expand(size_t state, double prob, double reward, double var,
+           size_t depth)
+    {
+        if (paths.size() >= options_.maxPaths || prob < options_.minProb ||
+            depth >= options_.maxLength ||
+            visits_[state] >= options_.maxVisitsPerState)
+            return;
+        ++visits_[state];
+        var += variance_[state];
+        const double here = reward + chain_.stateReward(state);
+
+        if (exitProb_[state] > 0.0) {
+            const double p = prob * exitProb_[state];
+            if (p >= options_.minProb && paths.size() < options_.maxPaths) {
+                paths.push_back({p, here + chain_.exitReward(state), var,
+                                 uint32_t(paths.size())});
+                counts.insert(counts.end(), decisions_.begin(),
+                              decisions_.end());
+            }
+        }
+        for (const Successor &next : successors_[state]) {
+            if (next.slot != kNoSlot)
+                ++decisions_[next.slot];
+            expand(next.state, prob * next.prob, here + next.reward, var,
+                   depth + 1);
+            if (next.slot != kNoSlot)
+                --decisions_[next.slot];
+        }
+        --visits_[state];
+    }
+
+    /** Path @p path's decision counts. */
+    std::span<const uint32_t>
+    countsOf(const WalkPath &path) const
+    {
+        return {counts.begin() + ptrdiff_t(path.row * width_), width_};
+    }
+
+  private:
+    static constexpr size_t kNoSlot = SIZE_MAX;
+
+    /** A transition with probability > 0, and the decision count it
+     *  adds to, if any. */
+    struct Successor
+    {
+        size_t state;
+        double prob;
+        double reward; //!< edge reward
+        size_t slot;   //!< decision count column, or kNoSlot
+    };
+
+    const markov::AbsorbingChain &chain_;
+    const PathEnumOptions &options_;
+    const size_t width_;
+    std::vector<std::vector<Successor>> successors_; //!< ascending states
+    std::vector<double> exitProb_;
+    std::vector<double> variance_;
+    std::vector<uint32_t> visits_;
+    std::vector<uint32_t> decisions_; //!< the current walk's counts
+};
 
 /**
  * Path rows over ticks [lo, lo + count): every path goes into each row
@@ -74,33 +196,37 @@ PathTable::build(const TimingModel &model, const EstimatorOptions &options,
     auto table = std::make_shared<PathTable>();
     table->paramCount = model.paramCount();
 
-    auto set = markov::enumeratePaths(model.chainFor(enum_theta),
-                                      model.proc().entry(), options.pathEnum);
-    if (set.paths.empty())
+    const auto chain = model.chainFor(enum_theta);
+    Walk walk(model, chain, options.pathEnum);
+    walk.expand(model.proc().entry(), 1.0, 0.0, 0.0, 0);
+    if (walk.paths.empty())
         fatal("no paths enumerated for '", model.proc().name(),
               "'; relax PathEnumOptions (minProb/maxVisitsPerState)");
+    auto &found = walk.paths;
+    std::sort(found.begin(), found.end(),
+              [](const WalkPath &a, const WalkPath &b) {
+                  return a.prob > b.prob;
+              });
 
     // Class ids in order of first appearance. Kernel classes key on the
     // bits of (reward, extra variance): bitwise-equal arguments are what
     // make NoiseKernel::prob's results bitwise equal.
     std::map<std::vector<uint32_t>, uint32_t> decision_ids;
     std::map<std::pair<uint64_t, uint64_t>, uint32_t> kernel_ids;
+    std::vector<uint32_t> counts;
     const double tick = double(model.cyclesPerTick());
-    table->paths.reserve(set.paths.size());
-    table->probs.reserve(set.paths.size());
-    for (const auto &path : set.paths) {
-        auto features = extractFeatures(model, path);
-        auto counts = std::move(features.takenCount);
-        counts.insert(counts.end(), features.fallCount.begin(),
-                      features.fallCount.end());
-        auto [decisions, new_decisions] = decision_ids.try_emplace(
-            std::move(counts), uint32_t(decision_ids.size()));
+    table->paths.reserve(found.size());
+    table->probs.reserve(found.size());
+    for (const auto &path : found) {
+        auto row = walk.countsOf(path);
+        counts.assign(row.begin(), row.end());
+        auto [decisions, new_decisions] =
+            decision_ids.try_emplace(counts, uint32_t(decision_ids.size()));
         if (new_decisions)
             table->decisionCounts.insert(table->decisionCounts.end(),
-                                         decisions->first.begin(),
-                                         decisions->first.end());
+                                         row.begin(), row.end());
 
-        double var = model.pathVarianceCycles(path.states) / (tick * tick);
+        double var = path.var / (tick * tick);
         auto [kernel, new_kernel] = kernel_ids.try_emplace(
             {std::bit_cast<uint64_t>(path.reward),
              std::bit_cast<uint64_t>(var)},
@@ -111,19 +237,32 @@ PathTable::build(const TimingModel &model, const EstimatorOptions &options,
         }
         table->paths.push_back({decisions->second, kernel->second});
         table->probs.push_back(path.prob);
+        table->coveredMass += path.prob;
     }
     table->decisionClasses = decision_ids.size();
-    table->coveredMass = set.coveredMass();
 
-    // Decision classes are keyed on the whole count vector, so members
-    // with different class ids differ in some decision.
-    for (auto &cls : markov::groupByReward(set, 1e-6)) {
-        const uint32_t first = table->paths[cls.members[0]].decisions;
-        bool aliased = std::any_of(
-            cls.members.begin(), cls.members.end(),
-            [&](size_t m) { return table->paths[m].decisions != first; });
-        table->rewardClasses.push_back(
-            {cls.reward, cls.prob, std::move(cls.members), aliased});
+    // Reward classes: a sweep over the paths by ascending reward, each
+    // class opened by its first member. Decision classes are keyed on
+    // the whole count vector, so members with different class ids
+    // differ in some decision.
+    std::vector<size_t> order(found.size());
+    std::iota(order.begin(), order.end(), size_t(0));
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return found[a].reward < found[b].reward;
+    });
+    auto &classes = table->rewardClasses;
+    for (size_t p : order) {
+        if (classes.empty() ||
+            !(std::abs(found[p].reward - classes.back().reward) <= 1e-6)) {
+            classes.push_back({found[p].reward, found[p].prob, {p}, false});
+            continue;
+        }
+        auto &cls = classes.back();
+        cls.members.push_back(p);
+        cls.prob += found[p].prob;
+        if (table->paths[p].decisions !=
+            table->paths[cls.members[0]].decisions)
+            cls.aliased = true;
     }
 
     // Tick index: the support of each kernel class under the kernel

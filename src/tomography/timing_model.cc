@@ -106,15 +106,6 @@ TimingModel::blockVariance(ir::BlockId block) const
 }
 
 double
-TimingModel::pathVarianceCycles(const std::vector<size_t> &states) const
-{
-    double variance = 0.0;
-    for (size_t state : states)
-        variance += blockVariance_[state];
-    return variance;
-}
-
-double
 TimingModel::edgeCycles(ir::BlockId from, ir::BlockId to) const
 {
     for (size_t i = 0; i < edges_.size(); ++i) {

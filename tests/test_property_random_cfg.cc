@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cfg_fuzz.hh"
@@ -14,13 +15,13 @@
 #include "ir/verify.hh"
 #include "layout/evaluator.hh"
 #include "layout/placement.hh"
-#include "markov/paths.hh"
 #include "profiler/instrument.hh"
 #include "profiler/plan.hh"
 #include "profiler/reconstruct.hh"
 #include "sim/machine.hh"
 #include "stats/summary.hh"
 #include "tomography/estimator.hh"
+#include "tomography/path_table.hh"
 #include "tomography/timing_model.hh"
 
 using namespace ct;
@@ -83,12 +84,22 @@ TEST_P(RandomCfg, PathEnumerationMassBalances)
                                   sim::PredictPolicy::NotTaken, 1,
                                   no_callees, 0.0);
     std::vector<double> theta(model.paramCount(), 0.5);
-    markov::PathEnumOptions options;
-    options.minProb = 1e-12;
-    auto set = markov::enumeratePaths(model.chainFor(theta), proc.entry(),
-                                      options);
-    EXPECT_NEAR(set.coveredMass() + set.droppedMass, 1.0, 1e-9);
-    EXPECT_NEAR(set.droppedMass, 0.0, 1e-9); // DAG: full enumeration
+    tomography::EstimatorOptions options;
+    options.pathEnum.minProb = 1e-12;
+    auto table = tomography::PathTable::build(model, options, theta);
+    EXPECT_NEAR(table->coveredMass, 1.0, 1e-9); // DAG: full enumeration
+    // Every path sits in exactly one reward class, and the classes
+    // carry the covered mass.
+    std::vector<int> seen(table->pathCount(), 0);
+    double class_mass = 0.0;
+    for (const auto &cls : table->rewardClasses) {
+        class_mass += cls.prob;
+        for (size_t m : cls.members)
+            ++seen[m];
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              ptrdiff_t(table->pathCount()));
+    EXPECT_NEAR(class_mass, table->coveredMass, 1e-9);
 }
 
 TEST_P(RandomCfg, EvaluatorMatchesSimulatorOnAnyOrder)

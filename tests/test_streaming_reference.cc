@@ -1,7 +1,9 @@
 /**
  * @file
  * The class-folded estimators against per-path references, where every
- * latent path pays its own log prior, exp and NoiseKernel::prob:
+ * latent path pays its own log prior, exp and NoiseKernel::prob, and
+ * the path table against the enumerate-then-extract build they read
+ * their paths from (path_reference.hh):
  *
  *  - StreamingEstimator against a per-path streaming E-step whose
  *    M-step sweeps every path once per parameter. The estimator must
@@ -11,6 +13,10 @@
  *  - EmPathEstimator against the per-path batch EM, whose likelihood
  *    matrix has one column per path. Every EstimateResult field must
  *    match bit for bit on the same random CFGs.
+ *  - PathTable::build's one walk against the reference table. Every
+ *    field must match bit for bit on random CFGs and on every
+ *    procedure of the paper programs, under random thetas and bounds
+ *    tight enough to prune.
  */
 
 #include <gtest/gtest.h>
@@ -27,12 +33,12 @@
 
 #include "check/cfg_gen.hh"
 #include "check/check.hh"
-#include "markov/paths.hh"
 #include "sim/machine.hh"
 #include "tomography/em_estimator.hh"
 #include "tomography/streaming.hh"
 #include "workloads/workload.hh"
 
+#include "path_reference.hh"
 #include "prop_util.hh"
 
 using namespace ct;
@@ -42,7 +48,8 @@ namespace {
 
 /** log P(path | theta) of a path's branch decisions, term by term. */
 double
-logPrior(const PathFeatures &features, const std::vector<double> &theta)
+logPrior(const reference::PathFeatures &features,
+         const std::vector<double> &theta)
 {
     double lp = 0.0;
     for (size_t b = 0; b < theta.size(); ++b) {
@@ -70,17 +77,12 @@ class ReferenceStreaming
           stepExponent_(step_exponent), forgetting_(forgetting),
           smoothing_(options.smoothing)
     {
-        std::vector<double> prior(model.paramCount(), 0.5);
-        auto chain = model.chainFor(prior);
-        auto set = markov::enumeratePaths(chain, model.proc().entry(),
-                                          options.pathEnum);
-        const double tick = double(model.cyclesPerTick());
-        for (const auto &path : set.paths) {
-            features_.push_back(extractFeatures(model, path));
+        reference::ReferencePaths paths(
+            model, options, std::vector<double>(model.paramCount(), 0.5));
+        features_ = std::move(paths.features);
+        for (const auto &path : paths.set.paths)
             rewards_.push_back(path.reward);
-            extraVarTicks2_.push_back(
-                model.pathVarianceCycles(path.states) / (tick * tick));
-        }
+        extraVarTicks2_ = std::move(paths.extraVarTicks2);
         theta_.assign(model.paramCount(), 0.5);
         statTaken_.assign(model.paramCount(), 0.0);
         statFall_.assign(model.paramCount(), 0.0);
@@ -139,7 +141,7 @@ class ReferenceStreaming
     double stepExponent_;
     double forgetting_;
     double smoothing_;
-    std::vector<PathFeatures> features_;
+    std::vector<reference::PathFeatures> features_;
     std::vector<double> rewards_;
     std::vector<double> extraVarTicks2_;
     std::vector<double> theta_;
@@ -157,8 +159,7 @@ class ReferenceStreaming
  */
 struct ReferenceWorkspace
 {
-    markov::PathSet set;
-    std::vector<PathFeatures> features;
+    reference::ReferencePaths paths;
     std::vector<int64_t> obsValues;
     std::vector<double> obsWeights;
     std::vector<double> kernel; //!< row-major, observations x paths
@@ -167,16 +168,8 @@ struct ReferenceWorkspace
                        const std::vector<int64_t> &durations,
                        const EstimatorOptions &options,
                        const std::vector<double> &enum_theta)
+        : paths(model, options, enum_theta)
     {
-        set = markov::enumeratePaths(model.chainFor(enum_theta),
-                                     model.proc().entry(), options.pathEnum);
-        const double tick = double(model.cyclesPerTick());
-        std::vector<double> extra_var;
-        for (const auto &path : set.paths) {
-            features.push_back(extractFeatures(model, path));
-            extra_var.push_back(model.pathVarianceCycles(path.states) /
-                                (tick * tick));
-        }
         std::map<int64_t, double> histogram;
         for (int64_t d : durations)
             histogram[d] += 1.0;
@@ -186,12 +179,12 @@ struct ReferenceWorkspace
         }
         NoiseKernel noise(model.cyclesPerTick(), options.jitterSigmaTicks);
         for (int64_t value : obsValues)
-            for (size_t p = 0; p < set.paths.size(); ++p)
-                kernel.push_back(
-                    noise.prob(value, set.paths[p].reward, extra_var[p]));
+            for (size_t p = 0; p < paths.pathCount(); ++p)
+                kernel.push_back(noise.prob(value, paths.set.paths[p].reward,
+                                            paths.extraVarTicks2[p]));
     }
 
-    size_t pathCount() const { return set.paths.size(); }
+    size_t pathCount() const { return paths.pathCount(); }
 };
 
 size_t
@@ -204,7 +197,7 @@ referenceRunEm(const ReferenceWorkspace &ws, const EstimatorOptions &options,
     size_t iter = 0;
     for (; iter < options.maxIterations; ++iter) {
         for (size_t p = 0; p < paths; ++p)
-            prior[p] = std::exp(logPrior(ws.features[p], theta));
+            prior[p] = std::exp(logPrior(ws.paths.features[p], theta));
         std::vector<double> path_resp(paths, 0.0);
         std::vector<double> acc_taken(params, 0.0);
         std::vector<double> acc_fall(params, 0.0);
@@ -227,8 +220,10 @@ referenceRunEm(const ReferenceWorkspace &ws, const EstimatorOptions &options,
             if (path_resp[p] <= 0.0)
                 continue;
             for (size_t b = 0; b < params; ++b) {
-                acc_taken[b] += path_resp[p] * ws.features[p].takenCount[b];
-                acc_fall[b] += path_resp[p] * ws.features[p].fallCount[b];
+                acc_taken[b] +=
+                    path_resp[p] * ws.paths.features[p].takenCount[b];
+                acc_fall[b] +=
+                    path_resp[p] * ws.paths.features[p].fallCount[b];
             }
         }
         double max_delta = 0.0;
@@ -267,21 +262,22 @@ referenceEm(const TimingModel &model, const std::vector<int64_t> &durations,
             referenceRunEm(ws, options, result.theta, result.logLikelihood);
     }
     result.pathCount = ws.pathCount();
-    result.coveredPathMass = ws.set.coveredMass();
-    auto classes = markov::groupByReward(ws.set, 1e-6);
+    result.coveredPathMass = ws.paths.set.coveredMass();
+    auto classes = reference::groupByReward(ws.paths.set, 1e-6);
     result.rewardClasses = classes.size();
     for (const auto &cls : classes) {
         bool mixed = false;
         for (size_t member : cls.members) {
-            const auto &a = ws.features[cls.members[0]];
-            const auto &b = ws.features[member];
+            const auto &a = ws.paths.features[cls.members[0]];
+            const auto &b = ws.paths.features[member];
             mixed = mixed || a.takenCount != b.takenCount ||
                     a.fallCount != b.fallCount;
         }
         if (mixed)
             for (size_t member : cls.members)
                 result.aliasedMass +=
-                    std::exp(logPrior(ws.features[member], result.theta));
+                    std::exp(logPrior(ws.paths.features[member],
+                                      result.theta));
     }
     return result;
 }
@@ -351,6 +347,7 @@ struct ProcedureCase
     double jitter = 0.0;
     double calleeMean = 0.0;
     double calleeVar = 0.0;
+    double callProb = 0.3; //!< chance that a block calls the leaf
 };
 
 ProcedureCase
@@ -367,13 +364,14 @@ genProcedureCase(Rng &rng)
 std::string
 showProcedureCase(const ProcedureCase &c)
 {
-    char buf[200];
+    char buf[240];
     std::snprintf(buf, sizeof buf,
                   "genSeed=0x%llx loopProb=%.1f cyclesPerTick=%llu "
-                  "jitter=%.17g calleeMean=%.17g calleeVar=%.17g",
+                  "jitter=%.17g calleeMean=%.17g calleeVar=%.17g "
+                  "callProb=%.17g",
                   (unsigned long long)c.genSeed, c.loopProb,
                   (unsigned long long)c.cyclesPerTick, c.jitter,
-                  c.calleeMean, c.calleeVar);
+                  c.calleeMean, c.calleeVar, c.callProb);
     return buf;
 }
 
@@ -399,7 +397,7 @@ struct RandomProcedure
         leaf.ret();
         const ir::ProcId callee = leaf.finish();
         for (auto &block : program.module->procedure(program.entry).blocks())
-            if (rng.bernoulli(0.3))
+            if (rng.bernoulli(c.callProb))
                 block.insts.insert(
                     block.insts.begin(),
                     ir::Inst{ir::Opcode::Call, 0, 0, 0, ir::Word(callee)});
@@ -546,9 +544,9 @@ checkBatchCase(const BatchCase &c)
     std::vector<double> rewards;
     std::vector<double> agnostic(proc.model->paramCount(), 0.5);
     for (const auto &path :
-         markov::enumeratePaths(proc.model->chainFor(agnostic),
-                                proc.program.proc().entry(),
-                                options.pathEnum)
+         reference::enumeratePaths(proc.model->chainFor(agnostic),
+                                   proc.program.proc().entry(),
+                                   options.pathEnum)
              .paths)
         rewards.push_back(path.reward);
     auto table = PathTable::build(*proc.model, options, agnostic);
@@ -600,22 +598,18 @@ checkIndexCase(const ProcedureCase &c)
     options.jitterSigmaTicks = c.jitter;
     std::vector<double> agnostic(proc.model->paramCount(), 0.5);
     auto table = PathTable::build(*proc.model, options, agnostic);
-    auto set = markov::enumeratePaths(proc.model->chainFor(agnostic),
-                                      proc.program.proc().entry(),
-                                      options.pathEnum);
-    if (set.paths.size() != table->pathCount())
+    reference::ReferencePaths ref(*proc.model, options, agnostic);
+    if (ref.pathCount() != table->pathCount())
         return "path count " + std::to_string(table->pathCount()) +
-               " != enumerated " + std::to_string(set.paths.size());
+               " != enumerated " + std::to_string(ref.pathCount());
 
     const NoiseKernel noise(c.cyclesPerTick, c.jitter);
-    const double tick = double(c.cyclesPerTick);
-    std::vector<double> rewards, vars;
+    std::vector<double> rewards;
+    const auto &vars = ref.extraVarTicks2;
     std::vector<std::pair<int64_t, int64_t>> support;
-    for (const auto &path : set.paths) {
-        rewards.push_back(path.reward);
-        vars.push_back(proc.model->pathVarianceCycles(path.states) /
-                       (tick * tick));
-        support.push_back(noise.support(rewards.back(), vars.back()));
+    for (size_t p = 0; p < ref.pathCount(); ++p) {
+        rewards.push_back(ref.set.paths[p].reward);
+        support.push_back(noise.support(rewards.back(), vars[p]));
     }
 
     const int64_t end = table->tickLo + int64_t(table->tickCount);
@@ -623,7 +617,7 @@ checkIndexCase(const ProcedureCase &c)
         const auto row = table->row(t);
         const std::string at = " at tick " + std::to_string(t);
         std::vector<uint32_t> paths, decisions, kernels;
-        for (uint32_t p = 0; p < set.paths.size(); ++p) {
+        for (uint32_t p = 0; p < ref.pathCount(); ++p) {
             bool in_support = support[p].first <= t && t <= support[p].second;
             if (in_support) {
                 paths.push_back(p);
@@ -641,6 +635,208 @@ checkIndexCase(const ProcedureCase &c)
         if (!std::ranges::equal(row.kernels, distinct(kernels)))
             return "row kernel classes differ" + at;
     }
+    return std::nullopt;
+}
+
+/** Same, over every PathTable field. */
+std::string
+firstBitDifference(const PathTable &a, const PathTable &b)
+{
+    auto same_paths = [](const auto &x, const auto &y) {
+        return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                          [](const PathTable::Path &u,
+                             const PathTable::Path &v) {
+                              return u.decisions == v.decisions &&
+                                     u.kernel == v.kernel;
+                          });
+    };
+    auto same_classes = [](const auto &x, const auto &y) {
+        return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                          [](const PathTable::RewardClass &u,
+                             const PathTable::RewardClass &v) {
+                              return sameBits(u.reward, v.reward) &&
+                                     sameBits(u.prob, v.prob) &&
+                                     u.members == v.members &&
+                                     u.aliased == v.aliased;
+                          });
+    };
+    auto same_rows = [](const PathTable::Rows &x, const PathTable::Rows &y) {
+        return x.start == y.start && x.ids == y.ids;
+    };
+    if (!same_paths(a.paths, b.paths))
+        return "paths";
+    if (!sameBits(a.probs, b.probs))
+        return "probs";
+    if (!sameBits(a.coveredMass, b.coveredMass))
+        return "coveredMass";
+    if (!sameBits(a.decisionCounts, b.decisionCounts))
+        return "decisionCounts";
+    if (a.decisionClasses != b.decisionClasses)
+        return "decisionClasses";
+    if (!sameBits(a.rewards, b.rewards))
+        return "rewards";
+    if (!sameBits(a.extraVarTicks2, b.extraVarTicks2))
+        return "extraVarTicks2";
+    if (!same_classes(a.rewardClasses, b.rewardClasses))
+        return "rewardClasses";
+    if (a.paramCount != b.paramCount)
+        return "paramCount";
+    if (a.cyclesPerTick != b.cyclesPerTick ||
+        !sameBits(a.jitterSigmaTicks, b.jitterSigmaTicks))
+        return "tick kernel";
+    if (a.tickLo != b.tickLo || a.tickCount != b.tickCount)
+        return "tick range";
+    if (!same_rows(a.tickPaths, b.tickPaths))
+        return "tickPaths";
+    if (!same_rows(a.tickDecisions, b.tickDecisions))
+        return "tickDecisions";
+    if (!same_rows(a.tickKernels, b.tickKernels))
+        return "tickKernels";
+    return "";
+}
+
+/** A procedure of a paper program, modelled bottom-up with each
+ *  callee's mean and variance under theta 0.3, which leaves fractional
+ *  bits in the means of callees that branch. */
+struct ProgramProcedure
+{
+    workloads::Workload workload;
+    sim::LoweredModule lowered;
+    std::unique_ptr<TimingModel> model;
+
+    ProgramProcedure(const std::string &name, ir::ProcId id,
+                     uint64_t cycles_per_tick)
+        : workload(workloads::workloadByName(name)),
+          lowered(sim::lowerModule(*workload.module))
+    {
+        const ir::Module &module = *workload.module;
+        sim::SimConfig sim;
+        std::vector<double> means(module.procedureCount(), 0.0);
+        std::vector<double> vars(module.procedureCount(), 0.0);
+        for (ir::ProcId p : bottomUpOrder(module)) {
+            model = std::make_unique<TimingModel>(
+                module.procedure(p), lowered.procs[p], sim.costs,
+                sim.policy, cycles_per_tick, means,
+                sim::nestedProbeCycles(sim.costs), vars);
+            if (p == id)
+                return;
+            std::vector<double> theta(model->paramCount(), 0.3);
+            means[p] = model->meanCycles(theta);
+            vars[p] = model->varianceCycles(theta);
+        }
+    }
+};
+
+/**
+ * One table build: a random CFG (ProcedureCase) or procedure @p procId
+ * of a paper program at the case's tick and jitter, an enumeration
+ * theta, and the default path bounds or one bound tight enough to
+ * prune.
+ */
+struct TableCase
+{
+    ProcedureCase proc;
+    std::string workload; //!< "" for the random CFG
+    ir::ProcId procId = 0;
+    uint64_t thetaSeed = 0; //!< 0: the agnostic theta
+    PathEnumOptions bounds;
+};
+
+TableCase
+genTableCase(Rng &rng)
+{
+    // Rewards and sums differ in their last bits only where an edge's
+    // extra cycles carry a sum across a power of two, so most cases
+    // loop, call the leaf often and give it a mean with fractional
+    // bits across four orders of magnitude.
+    TableCase c;
+    c.proc = genIndexCase(rng);
+    c.proc.loopProb = rng.bernoulli(0.75) ? 0.3 : 0.0;
+    c.proc.callProb = rng.uniform(0.3, 1.0);
+    c.proc.calleeMean =
+        std::exp(rng.uniform(std::log(0.01), std::log(120.0)));
+    if (rng.bernoulli(0.25)) {
+        auto names = workloads::workloadNames();
+        c.workload = names[rng.below(names.size())];
+        c.procId = ir::ProcId(rng.below(
+            workloads::workloadByName(c.workload).module->procedureCount()));
+    }
+    c.thetaSeed = rng.bernoulli(0.3) ? 0 : rng.next() | 1;
+    switch (rng.below(6)) {
+    case 0:
+        c.bounds.maxPaths = size_t(rng.range(1, 200));
+        break;
+    case 1:
+        c.bounds.maxVisitsPerState = uint32_t(rng.range(1, 6));
+        break;
+    case 2:
+        c.bounds.maxLength = size_t(rng.range(2, 40));
+        break;
+    case 3:
+        c.bounds.minProb = std::pow(10.0, -rng.uniform(1.0, 9.0));
+        break;
+    default: // the default bounds
+        break;
+    }
+    return c;
+}
+
+std::string
+showTableCase(const TableCase &c)
+{
+    char buf[200];
+    std::snprintf(buf, sizeof buf,
+                  " workload=%s procId=%u thetaSeed=0x%llx minProb=%.17g "
+                  "maxVisitsPerState=%u maxPaths=%zu maxLength=%zu}",
+                  c.workload.c_str(), unsigned(c.procId),
+                  (unsigned long long)c.thetaSeed, c.bounds.minProb,
+                  unsigned(c.bounds.maxVisitsPerState), c.bounds.maxPaths,
+                  c.bounds.maxLength);
+    return "{" + showProcedureCase(c.proc) + buf;
+}
+
+/** The enumeration theta of @p seed: 0.5 everywhere for seed 0, else
+ *  random, now and then exactly 0 or 1. */
+std::vector<double>
+enumTheta(uint64_t seed, size_t params)
+{
+    std::vector<double> theta(params, 0.5);
+    if (seed == 0)
+        return theta;
+    Rng rng(seed);
+    for (double &p : theta)
+        p = rng.bernoulli(0.1) ? double(rng.below(2))
+                               : rng.uniform(0.01, 0.99);
+    return theta;
+}
+
+std::optional<std::string>
+checkTableCase(const TableCase &c)
+{
+    std::unique_ptr<RandomProcedure> random;
+    std::unique_ptr<ProgramProcedure> program;
+    const TimingModel *model;
+    if (c.workload.empty()) {
+        random = std::make_unique<RandomProcedure>(c.proc);
+        model = random->model.get();
+    } else {
+        program = std::make_unique<ProgramProcedure>(c.workload, c.procId,
+                                                     c.proc.cyclesPerTick);
+        model = program->model.get();
+    }
+    EstimatorOptions options;
+    options.pathEnum = c.bounds;
+    options.jitterSigmaTicks = c.proc.jitter;
+    const auto theta = enumTheta(c.thetaSeed, model->paramCount());
+
+    auto expected = reference::referencePathTable(*model, options, theta);
+    if (expected.pathCount() == 0)
+        return check::skipCase(); // PathTable::build calls fatal()
+    auto actual = PathTable::build(*model, options, theta);
+    auto diff = firstBitDifference(*actual, expected);
+    if (!diff.empty())
+        return diff + " differs from the enumerate-then-extract table (" +
+               std::to_string(expected.pathCount()) + " paths)";
     return std::nullopt;
 }
 
@@ -667,6 +863,33 @@ TEST(BatchReference, EmMatchesPerPathReferenceBitForBit)
     CT_EXPECT_PROP(check::forAll<BatchCase>(
         "BatchReference.EmMatchesPerPathReferenceBitForBit", genBatchCase,
         checkBatchCase, nullptr, showBatchCase, {.iterations = 60}));
+}
+
+TEST(PathTableReference, WalkMatchesEnumerateThenExtractBitForBit)
+{
+    // Every procedure of every paper program, under the agnostic theta
+    // at one cycle per tick and under a random one at eight with
+    // jitter, then random cases.
+    for (const auto &name : workloads::workloadNames()) {
+        const size_t procs =
+            workloads::workloadByName(name).module->procedureCount();
+        for (ir::ProcId id = 0; id < procs; ++id) {
+            for (bool agnostic : {true, false}) {
+                TableCase c;
+                c.workload = name;
+                c.procId = id;
+                c.proc.cyclesPerTick = agnostic ? 1 : 8;
+                c.proc.jitter = agnostic ? 0.0 : 0.7;
+                c.thetaSeed = agnostic ? 0 : 2 * uint64_t(id) + 1;
+                auto failure = checkTableCase(c);
+                EXPECT_EQ(failure, std::nullopt) << showTableCase(c);
+            }
+        }
+    }
+    CT_EXPECT_PROP(check::forAll<TableCase>(
+        "PathTableReference.WalkMatchesEnumerateThenExtractBitForBit",
+        genTableCase, checkTableCase, nullptr, showTableCase,
+        {.iterations = 200}));
 }
 
 TEST(StreamingReference, ThreadsSharingOneTableMatchSerial)
