@@ -3,12 +3,13 @@
  * Golden-result regression tests (check/golden.hh): deterministic
  * summaries of the workload suite, of two full pipeline runs and of
  * the fleet campaign drivers are compared byte-for-byte against
- * snapshots in tests/golden/, and the streaming estimator's states and
- * the batch estimates are pinned bit for bit. Any behaviour drift — an estimator
- * tweak, a cost-model change, a CSV formatting change — fails here
- * with the first differing line before a human would notice a number
- * moved. Intentional changes are re-snapshotted with
- * CT_GOLDEN_UPDATE=1 (see docs/TESTING.md).
+ * snapshots in tests/golden/, and the streaming estimator's states,
+ * the batch estimates and the causal and budget pricing are pinned bit
+ * for bit. Any behaviour drift — an estimator tweak, a cost-model
+ * change, a CSV formatting change — fails here with the first
+ * differing line before a human would notice a number moved.
+ * Intentional changes are re-snapshotted with CT_GOLDEN_UPDATE=1 (see
+ * docs/TESTING.md).
  */
 
 #include <bit>
@@ -19,10 +20,13 @@
 #include <gtest/gtest.h>
 
 #include "api/pipeline.hh"
+#include "budget/budget.hh"
+#include "causal/causal.hh"
 #include "check/golden.hh"
 #include "fleet/fleet.hh"
 #include "ir/analysis.hh"
 #include "layout/placement.hh"
+#include "pgo/pgo.hh"
 #include "relay/tree.hh"
 #include "sim/machine.hh"
 #include "stats/summary.hh"
@@ -30,6 +34,7 @@
 #include "tomography/fit_quality.hh"
 #include "tomography/streaming.hh"
 #include "util/hash.hh"
+#include "workloads/campaign.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -590,6 +595,114 @@ TEST(PropGolden, EvaluateLanesMatchSnapshot)
     }
     auto result =
         check::compareGolden(goldenPath("evaluate_lanes.txt"), out);
+    EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST(PropGolden, PricingMatchesSnapshot)
+{
+    // What the pricing constants feed: every program's causal profile
+    // and budget instance under its true-profile theta (seed 1, 2,000
+    // measured invocations, natural layout), both solvers under a
+    // one-page flash budget, a budgeted continuous-PGO decision log
+    // and the heterogeneous-fleet plans' layouts. Doubles print at
+    // %.17g, so the snapshot pins them bit for bit.
+    std::string out = "# pricing: causal profiles, budget instances and "
+                      "plans, budgeted PGO, fleet plans\n";
+    auto flag = [](bool value) { return value ? 1 : 0; };
+    for (const auto &workload : workloads::allWorkloads()) {
+        const ir::Module &module = *workload.module;
+        sim::SimConfig sim_config;
+        auto natural = sim::lowerModule(module);
+        auto measured =
+            workloads::measureLane(workload, natural, sim_config, 1, 2000);
+        auto theta = causal::thetaFromProfile(module, measured.profile);
+
+        causal::Engine engine(module, natural, sim_config.costs,
+                              sim_config.policy, workload.entry, theta);
+        causal::ProfileOptions options;
+        options.perBlock = true;
+        options.workload = workload.name;
+        auto profile = engine.profile(options);
+        std::string json = profile.toJson();
+        out += fmtRow("causal,%s,%.17g,%.17g,%016llx\n",
+                      workload.name.c_str(), profile.baselineCyclesPerEvent,
+                      profile.baselineEnergyMicrojoulesPerEvent,
+                      (unsigned long long)fnv1a(json.data(), json.size()));
+
+        budget::BudgetSpec one_page;
+        one_page.flashPages = 1;
+        auto instance = budget::buildInstance(
+            module, natural, sim_config.costs, sim_config.policy,
+            workload.entry, theta, measured.profile, one_page);
+        for (const auto &group : instance.groups)
+            for (const auto &cand : group.candidates)
+                out += fmtRow("candidate,%s,%s,%s,%.17g,%.17g,%.17g,%llu,"
+                              "%llu,%llu\n",
+                              workload.name.c_str(), group.name.c_str(),
+                              cand.name.c_str(), cand.gainCyclesPerEvent,
+                              cand.gainEnergyMicrojoulesPerEvent, cand.gain,
+                              (unsigned long long)cand.flashBytes,
+                              (unsigned long long)cand.ramBytes,
+                              (unsigned long long)cand.energyNanojoules);
+        for (auto solver : {budget::Solver::Auto, budget::Solver::Greedy}) {
+            auto plan = budget::solve(instance, solver);
+            out += fmtRow("plan,%s,%s,%d,%.17g,%.17g,%.17g,%zu,%zu,%d%d%d,",
+                          workload.name.c_str(), plan.solver.c_str(),
+                          flag(plan.exactRan), plan.assignment.gain,
+                          plan.exactGain, plan.greedyGain, plan.upgrades,
+                          plan.deferred, flag(plan.flashBinding),
+                          flag(plan.ramBinding), flag(plan.energyBinding)) +
+                   plan.exactSkipReason + "\n";
+        }
+    }
+
+    {
+        auto workload = workloads::makeAlarmThreshold();
+        pgo::PgoConfig cfg;
+        cfg.seed = 3;
+        cfg.measureInvocations = 400;
+        cfg.windowInvocations = 120;
+        cfg.regimes = {pgo::Regime{.windows = 2},
+                       pgo::Regime{.windows = 3, .senseOffset = 150.0}};
+        cfg.drift.hysteresisWindows = 1;
+        cfg.drift.cooldownWindows = 1;
+        cfg.budgetEnabled = true;
+        cfg.swapBudget = budget::BudgetSpec::unlimited();
+        out += "# budgeted pgo decision log\n" +
+               pgo::ContinuousPgo(workload, cfg).run().decisionLog;
+    }
+
+    {
+        auto workload = workloads::workloadByName("collection_tree");
+        fleet::ShardedFleetConfig config;
+        config.motes = 48;
+        config.invocations = 8;
+        config.collector.shards = 4;
+        config.seed = 1;
+        std::unique_ptr<fleet::ShardedCollector> collector;
+        fleet::runShardedFleet(workload, config, &collector);
+
+        auto lowered = sim::lowerModule(*workload.module);
+        sim::SimConfig sim_config;
+        auto flash_only = [](uint64_t bytes) {
+            budget::BudgetSpec spec;
+            spec.pageBytes = 1;
+            spec.flashPages = bytes;
+            return spec;
+        };
+        fleet::FleetPlanConfig plan_config;
+        plan_config.classes = {{"rich", flash_only(256)},
+                               {"lean", flash_only(16)}};
+        plan_config.entry = workload.entry;
+        for (const auto &shard : fleet::planShardBudgets(
+                 *workload.module, lowered, sim_config.costs,
+                 sim_config.policy, *collector, plan_config))
+            out += fmtRow("fleet_plan,%zu,%s,%016llx\n", shard.shard,
+                          shard.className.c_str(),
+                          (unsigned long long)shard.layoutDigest);
+    }
+
+    auto result = check::compareGolden(goldenPath("pricing.txt"), out);
     EXPECT_TRUE(result.ok) << result.message;
 }
 
