@@ -180,7 +180,7 @@ main(int argc, char **argv)
                     estimate = fleet::estimateFromSlots(
                         *workload.module, lowered, sim_config.costs,
                         sim_config.policy, config.cyclesPerTick,
-                        nested_probe, {}, result.root.slots);
+                        nested_probe, result.root.slots);
                 });
                 CT_ASSERT(estimate.profile.size() ==
                               workload.module->procedureCount(),

@@ -78,9 +78,8 @@ tomography::ModuleEstimate
 TomographyPipeline::estimate(const trace::TimingTrace &trace)
 {
     CT_SPAN("pipeline.estimate");
-    auto estimate = workloads::estimateTrace(
-        workload_, natural_, config_.sim, config_.estimator,
-        config_.estimatorOptions, trace);
+    auto estimate = workloads::estimateTrace(workload_, natural_, config_.sim,
+                                             config_.estimator, trace);
     if (obs::metricsEnabled()) {
         size_t estimated = 0;
         for (const auto &theta : estimate.thetas)
@@ -140,7 +139,7 @@ TomographyPipeline::planBudget(const tomography::ModuleEstimate &estimate)
     for (const auto &group : instance.groups)
         out.candidates += group.candidates.size();
     out.baselineCyclesPerEvent = instance.baselineCyclesPerEvent;
-    out.plan = budget::solve(instance, cfg.solver, cfg.limits);
+    out.plan = budget::solve(instance, cfg.solver);
     out.orders = budget::applyAssignment(
         instance, out.plan.assignment, workload_.module->procedureCount());
     for (size_t g = 0; g < instance.groups.size(); ++g) {

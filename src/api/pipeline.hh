@@ -77,18 +77,15 @@ struct BudgetConfig
     /** The mote's reprogramming budget (default: unlimited, in which
      *  case the stage degenerates to the tomography placement). */
     budget::BudgetSpec spec;
-    /** Candidate pricing knobs (strategies, cost model, energy
-     *  weight). */
+    /** Candidate pricing knobs (strategies, energy weight). */
     budget::InstanceOptions options;
     budget::Solver solver = budget::Solver::Auto;
-    budget::DpLimits limits;
 };
 
 /** Pipeline configuration. */
 struct PipelineConfig
 {
     tomography::EstimatorKind estimator = tomography::EstimatorKind::Em;
-    tomography::EstimatorOptions estimatorOptions;
     sim::SimConfig sim;
     /** Invocations in the timing-measurement campaign. */
     size_t measureInvocations = 2'000;

@@ -12,8 +12,7 @@ namespace ct::api {
 
 std::string
 renderReport(const workloads::Workload &workload,
-             const PipelineConfig &config, const PipelineResult &result,
-             const ReportOptions &options)
+             const PipelineConfig &config, const PipelineResult &result)
 {
     std::ostringstream os;
 
@@ -29,7 +28,7 @@ renderReport(const workloads::Workload &workload,
        << " timing records, " << result.measureRun.totalCycles
        << " cycles total\n\n";
 
-    if (options.includeAccuracy && !result.trueTheta.empty()) {
+    if (!result.trueTheta.empty()) {
         TablePrinter table("estimated vs true branch probabilities");
         table.setHeader({"branch", "true", "estimated", "abs error"});
         for (size_t i = 0; i < result.trueTheta.size(); ++i) {
@@ -43,7 +42,7 @@ renderReport(const workloads::Workload &workload,
            << formatDouble(result.branchMaxError, 4) << "\n\n";
     }
 
-    if (options.includeDiagnostics) {
+    {
         // Fit checks need per-procedure timing models; rebuild them from
         // the estimate's own callee means/variances (no ground truth).
         auto lowered = sim::lowerModule(*workload.module);
@@ -69,8 +68,7 @@ renderReport(const workloads::Workload &workload,
                 result.estimate.varCycles);
             auto durations = result.measureRun.trace.durations(id);
             auto fit = tomography::assessFit(
-                model, result.estimate.thetas[id], durations,
-                config.estimatorOptions);
+                model, result.estimate.thetas[id], durations);
 
             table.row(proc.name(), diag.pathCount, diag.rewardClasses,
                       diag.coveredPathMass, diag.aliasedMass,

@@ -17,24 +17,14 @@
 
 namespace ct::api {
 
-/** Report rendering options. */
-struct ReportOptions
-{
-    /** Include the per-branch true-vs-estimated table (only available
-     *  in simulation, where ground truth exists). */
-    bool includeAccuracy = true;
-    /** Include per-procedure estimator diagnostics. */
-    bool includeDiagnostics = true;
-};
-
 /**
  * Render the full report. @p workload and @p config must be the ones
- * the pipeline ran with.
+ * the pipeline ran with. The true-vs-estimated table appears when the
+ * result carries ground truth (in simulation).
  */
 std::string renderReport(const workloads::Workload &workload,
                          const PipelineConfig &config,
-                         const PipelineResult &result,
-                         const ReportOptions &options = {});
+                         const PipelineResult &result);
 
 } // namespace ct::api
 

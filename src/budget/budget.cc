@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "sim/energy.hh"
 #include "stats/rng.hh"
 #include "util/logging.hh"
 
@@ -16,6 +17,28 @@ namespace {
 
 /** The three resource dimensions, uniformly addressable. */
 constexpr size_t kDims = 3;
+
+/// @name What applying one candidate layout costs the mote
+/// @{
+/** Flash bytes per lowered instruction slot (16-bit words). */
+constexpr uint64_t kBytesPerSlot = 2;
+/** Fixed RAM for a procedure's remap entry. */
+constexpr uint64_t kRamBytesPerProc = 6;
+/** RAM per block whose physical position moved (fixup entry). */
+constexpr uint64_t kRamBytesPerMovedBlock = 2;
+/** Flash write energy per byte (TelosB internal flash, ~nJ/B). */
+constexpr double kWriteNanojoulesPerByte = 135.0;
+/** Page-erase energy (every touched page erases once). */
+constexpr double kEraseNanojoulesPerPage = 90'000.0;
+/// @}
+
+/// @name Exact-solver acceptance caps (reject = fall back to greedy)
+/// @{
+/** Max cells in the quantized budget lattice. */
+constexpr size_t kMaxCells = size_t(1) << 18;
+/** Max bytes across the value + choice tables. */
+constexpr size_t kMaxTableBytes = size_t(1) << 25;
+/// @}
 
 uint64_t
 budgetOf(const BudgetSpec &spec, size_t dim)
@@ -202,7 +225,7 @@ evaluateAssignment(const Instance &instance, std::vector<size_t> choice)
 }
 
 ExactResult
-exactSolve(const Instance &instance, const DpLimits &limits)
+exactSolve(const Instance &instance)
 {
     CT_SPAN("budget.exact");
     checkInstance(instance);
@@ -235,19 +258,19 @@ exactSolve(const Instance &instance, const DpLimits &limits)
     size_t cells = 1;
     for (LatticeDim &ld : dims) {
         ld.stride = cells;
-        if (ld.cap + 1 > limits.maxCells / cells) {
-            out.rejectReason = "lattice cells exceed maxCells=" +
-                               std::to_string(limits.maxCells);
+        if (ld.cap + 1 > kMaxCells / cells) {
+            out.rejectReason = "lattice cells exceed kMaxCells=" +
+                               std::to_string(kMaxCells);
             return out;
         }
         cells *= size_t(ld.cap + 1);
     }
     size_t groups = instance.groups.size();
     size_t table_bytes = cells * sizeof(double) * 2 + cells * groups;
-    if (table_bytes > limits.maxTableBytes) {
+    if (table_bytes > kMaxTableBytes) {
         out.rejectReason = "tables need " + std::to_string(table_bytes) +
-                           " bytes > maxTableBytes=" +
-                           std::to_string(limits.maxTableBytes);
+                           " bytes > kMaxTableBytes=" +
+                           std::to_string(kMaxTableBytes);
         return out;
     }
 
@@ -396,7 +419,7 @@ greedySolve(const Instance &instance)
 }
 
 BudgetPlan
-solve(const Instance &instance, Solver solver, const DpLimits &limits)
+solve(const Instance &instance, Solver solver)
 {
     CT_SPAN("budget.solve");
 
@@ -407,7 +430,7 @@ solve(const Instance &instance, Solver solver, const DpLimits &limits)
         plan.assignment = std::move(greedy);
         plan.solver = "greedy";
     } else {
-        ExactResult exact = exactSolve(instance, limits);
+        ExactResult exact = exactSolve(instance);
         plan.exactRan = exact.accepted;
         if (exact.accepted) {
             plan.exactGain = exact.assignment.gain;
@@ -522,8 +545,8 @@ buildInstance(const ir::Module &module, const sim::LoweredModule &current,
     Instance instance;
     instance.budget = spec;
     instance.baselineCyclesPerEvent = engine.baselineCyclesPerEvent();
-    const sim::EnergyModel &energy = options.energy;
-    const ReprogramCostModel &reprogram = options.reprogram;
+    // Penalty cycles are CPU-active, so one TelosB constant converts.
+    const sim::EnergyModel energy = sim::telosEnergyModel();
     const double uj_per_cycle =
         energy.cpuActiveUa * energy.supplyVolts / energy.clockHz;
 
@@ -532,7 +555,7 @@ buildInstance(const ir::Module &module, const sim::LoweredModule &current,
                   "buildInstance: proc#", id, " out of range");
         const ir::Procedure &proc = module.procedure(id);
         const sim::LoweredProc &placed = current.procs[id];
-        auto visits = causal::expectedVisits(proc, theta[id]);
+        const std::vector<double> &visits = engine.visits(id);
         double self_current = causal::placedSelfCyclesPerInvocation(
             proc, placed, costs, policy, theta[id], visits);
         double rate = engine.callRate(id);
@@ -563,17 +586,16 @@ buildInstance(const ir::Module &module, const sim::LoweredModule &current,
                             cand.gainEnergyMicrojoulesPerEvent;
 
             cand.flashBytes =
-                uint64_t(lowered.codeSlots(proc)) * reprogram.bytesPerSlot;
+                uint64_t(lowered.codeSlots(proc)) * kBytesPerSlot;
             size_t moved = 0;
             for (ir::BlockId b = 0; b < proc.blockCount(); ++b)
                 moved += lowered.positionOf[b] != placed.positionOf[b];
-            cand.ramBytes = reprogram.ramBytesPerProc +
-                            reprogram.ramBytesPerMovedBlock * moved;
+            cand.ramBytes = kRamBytesPerProc + kRamBytesPerMovedBlock * moved;
             uint64_t pages =
                 (cand.flashBytes + spec.pageBytes - 1) / spec.pageBytes;
             cand.energyNanojoules = uint64_t(
-                reprogram.writeNanojoulesPerByte * double(cand.flashBytes) +
-                reprogram.eraseNanojoulesPerPage * double(pages) + 0.5);
+                kWriteNanojoulesPerByte * double(cand.flashBytes) +
+                kEraseNanojoulesPerPage * double(pages) + 0.5);
             group.candidates.push_back(std::move(cand));
         }
         instance.groups.push_back(std::move(group));

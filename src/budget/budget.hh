@@ -45,7 +45,6 @@
 #include "ir/profile.hh"
 #include "layout/placement.hh"
 #include "sim/costs.hh"
-#include "sim/energy.hh"
 #include "sim/lower.hh"
 
 namespace ct::budget {
@@ -89,21 +88,6 @@ struct BudgetSpec
     }
     /** No constraint on any dimension (the default). */
     static BudgetSpec unlimited() { return BudgetSpec{}; }
-};
-
-/** What applying one candidate layout costs the mote. */
-struct ReprogramCostModel
-{
-    /** Flash bytes per lowered instruction slot (16-bit words). */
-    uint64_t bytesPerSlot = 2;
-    /** Fixed RAM for a procedure's remap entry. */
-    uint64_t ramBytesPerProc = 6;
-    /** RAM per block whose physical position moved (fixup entry). */
-    uint64_t ramBytesPerMovedBlock = 2;
-    /** Flash write energy per byte (TelosB internal flash, ~nJ/B). */
-    double writeNanojoulesPerByte = 135.0;
-    /** Page-erase energy (every touched page erases once). */
-    double eraseNanojoulesPerPage = 90'000.0;
 };
 
 /** One candidate layout for one procedure. */
@@ -158,11 +142,8 @@ struct InstanceOptions
      *  docs/BUDGET.md). */
     std::vector<layout::LayoutKind> kinds = {
         layout::LayoutKind::Dfs, layout::LayoutKind::ProfileGuided};
-    ReprogramCostModel reprogram;
     /** Objective weight on energy (µJ/event) next to cycles/event. */
     double energyWeight = 0.0;
-    /** Energy model converting penalty cycles to µJ (CPU-active). */
-    sim::EnergyModel energy = sim::telosEnergyModel();
     /** When non-empty, only these procedures get groups (the causal
      *  gate's survivors in continuous PGO); otherwise every
      *  procedure, invoked or not, so degenerate budgets reproduce
@@ -222,21 +203,13 @@ enum class Solver {
     Greedy, //!< greedy only (no gap measurement)
 };
 
-/** Exact-solver acceptance caps (reject = fall back to greedy). */
-struct DpLimits
-{
-    /** Max cells in the quantized budget lattice. */
-    size_t maxCells = size_t(1) << 18;
-    /** Max bytes across the value + choice tables. */
-    size_t maxTableBytes = size_t(1) << 25;
-};
-
 /** exactSolve outcome. */
 struct ExactResult
 {
-    /** The instance fit the caps and the assignment is optimal. */
+    /** The instance fit the lattice and table caps (2^18 cells,
+     *  32 MiB) and the assignment is optimal. */
     bool accepted = false;
-    /** Why not, when !accepted ("cells=... > maxCells=..."). */
+    /** Why not, when !accepted ("lattice cells exceed ..."). */
     std::string rejectReason;
     Assignment assignment;
 };
@@ -248,7 +221,7 @@ struct ExactResult
  * zero — collapse out of the lattice, so a flash-only sweep stays
  * cheap even with three budget fields present.
  */
-ExactResult exactSolve(const Instance &instance, const DpLimits &limits = {});
+ExactResult exactSolve(const Instance &instance);
 
 /**
  * Delta-per-flash-byte greedy: per group, the concave frontier of
@@ -294,8 +267,7 @@ struct BudgetPlan
  * solvers share the per-group argmax fast path (later candidate wins
  * gain ties), which is exact by inspection.
  */
-BudgetPlan solve(const Instance &instance, Solver solver = Solver::Auto,
-                 const DpLimits &limits = {});
+BudgetPlan solve(const Instance &instance, Solver solver = Solver::Auto);
 
 /**
  * Materialize an assignment as per-procedure block orders over

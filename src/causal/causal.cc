@@ -15,24 +15,6 @@ namespace ct::causal {
 
 namespace {
 
-/** Activity class a straight-line instruction's cycles belong to. */
-sim::Activity
-activityOf(ir::Opcode op)
-{
-    switch (op) {
-      case ir::Opcode::Sleep:
-        return sim::Activity::Sleep;
-      case ir::Opcode::Sense:
-        return sim::Activity::Sense;
-      case ir::Opcode::RadioTx:
-        return sim::Activity::RadioTx;
-      case ir::Opcode::RadioRx:
-        return sim::Activity::RadioRx;
-      default:
-        return sim::Activity::CpuActive;
-    }
-}
-
 /**
  * Expected visits per invocation under @p theta. A theta that parks a
  * loop's back-edge at exactly 1.0 makes the chain non-absorbing; in
@@ -117,6 +99,29 @@ penaltyMassPerBlock(const ir::Procedure &proc, const sim::LoweredProc &placed,
     return mass;
 }
 
+/**
+ * Expected placement-penalty cycles per invocation of @p proc as
+ * placed by @p placed: mispredict flushes plus trailing untaken jumps,
+ * visit-weighted. @p visits must be chainVisits(proc, theta).
+ */
+double
+placementPenaltyPerInvocation(const ir::Procedure &proc,
+                              const sim::LoweredProc &placed,
+                              const sim::CostModel &costs,
+                              sim::PredictPolicy policy,
+                              const std::vector<double> &theta,
+                              const std::vector<double> &visits)
+{
+    CT_ASSERT(visits.size() == proc.blockCount(),
+              "placementPenalty: visit vector covers ", visits.size(),
+              " blocks, '", proc.name(), "' has ", proc.blockCount());
+    double total = 0.0;
+    for (double m :
+         penaltyMassPerBlock(proc, placed, costs, policy, theta, visits))
+        total += m;
+    return total;
+}
+
 /** %.12g rendering, matching the obs JSON determinism contract. */
 std::string
 num(double value)
@@ -190,30 +195,6 @@ normalizeTheta(const ir::Module &module, ModuleTheta theta, double fallback)
             p = std::clamp(p, 0.0, 1.0);
     }
     return theta;
-}
-
-std::vector<double>
-expectedVisits(const ir::Procedure &proc, const std::vector<double> &theta)
-{
-    return chainVisits(proc, theta);
-}
-
-double
-placementPenaltyPerInvocation(const ir::Procedure &proc,
-                              const sim::LoweredProc &placed,
-                              const sim::CostModel &costs,
-                              sim::PredictPolicy policy,
-                              const std::vector<double> &theta,
-                              const std::vector<double> &visits)
-{
-    CT_ASSERT(visits.size() == proc.blockCount(),
-              "placementPenalty: visit vector covers ", visits.size(),
-              " blocks, '", proc.name(), "' has ", proc.blockCount());
-    double total = 0.0;
-    for (double m :
-         penaltyMassPerBlock(proc, placed, costs, policy, theta, visits))
-        total += m;
-    return total;
 }
 
 double
@@ -301,7 +282,7 @@ Engine::Engine(const ir::Module &module, const sim::LoweredModule &lowered,
             for (const auto &inst : bb.insts) {
                 double c = double(costs.cyclesFor(inst));
                 cycles += c;
-                act[size_t(activityOf(inst.op))] += c;
+                act[size_t(sim::activityOf(inst.op))] += c;
                 if (inst.op == ir::Opcode::Call) {
                     ir::ProcId callee = ir::ProcId(inst.imm);
                     CT_ASSERT(callee < n, "causal: call to unknown proc#",
@@ -473,8 +454,8 @@ Engine::profile(const ProfileOptions &options) const
     out.workload =
         options.workload.empty() ? module_->name() : options.workload;
     out.baselineCyclesPerEvent = baselineCyclesPerEvent();
-    out.baselineEnergyMicrojoulesPerEvent =
-        baselineEnergyPerEvent(options.energy);
+    const sim::EnergyModel energy = sim::telosEnergyModel();
+    out.baselineEnergyMicrojoulesPerEvent = baselineEnergyPerEvent(energy);
 
     out.dials = options.dials;
     for (double d : out.dials)
@@ -515,8 +496,8 @@ Engine::profile(const ProfileOptions &options) const
         pc.deltaCyclesPerEvent = baseline - pc.curve.back().cyclesPerEvent;
         pc.virtualSpeedupPct = pc.curve.back().virtualSpeedupPct;
         pc.deltaEnergyMicrojoulesPerEvent =
-            pc.deltaCyclesPerEvent * options.energy.cpuActiveUa *
-            options.energy.supplyVolts / options.energy.clockHz;
+            pc.deltaCyclesPerEvent * energy.cpuActiveUa *
+            energy.supplyVolts / energy.clockHz;
         out.totalPenaltyCyclesPerEvent += pc.penaltyCyclesPerEvent;
         out.procs.push_back(std::move(pc));
     }
@@ -691,7 +672,7 @@ CausalProfile::writeCsv(const std::string &path) const
 }
 
 std::vector<GateEntry>
-rankingGate(const Engine &engine, double min_fraction, size_t max_procs)
+rankingGate(const Engine &engine, double min_fraction)
 {
     CT_ASSERT(min_fraction >= 0.0, "rankingGate: negative min_fraction");
     const ir::Module &module = engine.module();
@@ -719,8 +700,6 @@ rankingGate(const Engine &engine, double min_fraction, size_t max_procs)
                       return a.deltaCyclesPerEvent > b.deltaCyclesPerEvent;
                   return a.proc < b.proc;
               });
-    if (max_procs > 0 && out.size() > max_procs)
-        out.resize(max_procs);
     return out;
 }
 

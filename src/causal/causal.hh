@@ -64,34 +64,12 @@ ModuleTheta normalizeTheta(const ir::Module &module, ModuleTheta theta,
                            double fallback = 0.5);
 
 /**
- * Expected visits per invocation of @p proc under @p theta, indexed by
- * block id — the layout-invariant factor of the what-if model (the
- * absorbing chain depends only on the CFG and theta, never on the
- * physical block order). Exposed so placement pricers (ct::budget) can
- * evaluate many candidate orders against one chain factorization.
- * fatal()s when the chain never reaches an exit under @p theta.
- */
-std::vector<double> expectedVisits(const ir::Procedure &proc,
-                                   const std::vector<double> &theta);
-
-/**
- * Expected placement-penalty cycles per invocation of @p proc as
- * placed by @p placed: mispredict flushes plus trailing untaken jumps
- * — exactly the per-edge extras of the timing model, visit-weighted.
- * @p visits must come from expectedVisits(proc, theta).
- */
-double placementPenaltyPerInvocation(const ir::Procedure &proc,
-                                     const sim::LoweredProc &placed,
-                                     const sim::CostModel &costs,
-                                     sim::PredictPolicy policy,
-                                     const std::vector<double> &theta,
-                                     const std::vector<double> &visits);
-
-/**
  * Expected *self* cycles per invocation of @p proc as placed by
  * @p placed (callee bodies excluded): straight-line instruction cycles
- * plus emitted control transfers plus the placement-penalty mass, all
- * visit-weighted. Equals Engine::selfCyclesPerInvocation for the
+ * plus emitted control transfers plus the placement-penalty mass
+ * (mispredict flushes plus trailing untaken jumps), all
+ * visit-weighted; @p visits must be Engine::visits(proc) of an engine
+ * built from @p theta. Equals Engine::selfCyclesPerInvocation for the
  * lowering the engine was built from. Because the visit vector is
  * layout-invariant, the difference between two placements of the same
  * procedure is exactly the end-to-end per-invocation delta the what-if
@@ -166,8 +144,6 @@ struct ProfileOptions
     std::vector<double> dials = {0.25, 0.5, 0.75, 1.0};
     /** Also attribute per branch block. */
     bool perBlock = false;
-    /** Energy model used for the analytic energy deltas. */
-    sim::EnergyModel energy = sim::telosEnergyModel();
     /** Label stamped into the export. */
     std::string workload;
 };
@@ -243,6 +219,18 @@ class Engine
 
     /** Expected self (callee-exclusive) cycles per invocation. */
     double selfCyclesPerInvocation(ir::ProcId proc) const;
+
+    /**
+     * Expected visits per invocation of @p proc, indexed by block id:
+     * the layout-invariant factor of the model (the absorbing chain
+     * depends only on the CFG and theta, never on the physical block
+     * order), so placement pricers (ct::budget) evaluate every
+     * candidate order against the engine's one chain solve.
+     */
+    const std::vector<double> &visits(ir::ProcId proc) const
+    {
+        return procs_[proc].visits;
+    }
 
     /** Expected inclusive cycles per invocation (callees folded). */
     double meanCyclesPerInvocation(ir::ProcId proc) const
@@ -322,14 +310,12 @@ struct GateEntry
  * The continuous-PGO re-placement gate (docs/PGO.md): every invoked
  * procedure whose causal delta clears @p min_fraction of the baseline
  * cycles per event, sorted by delta descending (ties broken by
- * ascending ProcId so the order is deterministic). @p max_procs > 0
- * truncates to the top entries. This is the ranking that cuts
- * re-placement work to the procedures worth re-placing — the second
- * half of the ROADMAP's causal-feedback item.
+ * ascending ProcId so the order is deterministic). This is the ranking
+ * that cuts re-placement work to the procedures worth re-placing — the
+ * second half of the ROADMAP's causal-feedback item.
  */
 std::vector<GateEntry> rankingGate(const Engine &engine,
-                                   double min_fraction,
-                                   size_t max_procs = 0);
+                                   double min_fraction);
 
 } // namespace ct::causal
 

@@ -534,7 +534,7 @@ storeCrashRecoveryOracle(const StoreScenario &scenario)
         const size_t total_bytes = global_base + file_bytes;
 
         // Compaction model. compact() after a checkpoint retains the
-        // keepCheckpoints newest checkpoints and deletes sealed
+        // kKeepCheckpoints newest checkpoints and deletes sealed
         // segments fully covered by the *oldest retained* one.
         // Coverage and the active segment only grow across the
         // campaign, so the final compaction dominates: the deleted
@@ -548,8 +548,7 @@ storeCrashRecoveryOracle(const StoreScenario &scenario)
             std::vector<size_t> last_index(file_start.size(), 0);
             for (size_t i = 0; i < spans.size(); ++i)
                 last_index[spans[i].file] = i;
-            const size_t keep = std::max<size_t>(
-                1, store_config.keepCheckpoints);
+            const size_t keep = store::kKeepCheckpoints;
             const size_t k = coverages.size();
             const uint64_t safe = coverages[k > keep ? k - keep : 0];
             const size_t active_file = spans[coverages.back() - 1].file;

@@ -119,7 +119,7 @@ ShardedCollector::ShardedCollector(
         // Opening the shard directory already recovered the durable
         // prefix (ct::store's invariant, unchanged per shard); resume
         // feeds it into this shard's bank.
-        if (slot.sink.store() && config_.resumeFromStore)
+        if (slot.sink.store())
             net::resumeBank(*slot.sink.store(), slot.bank);
     }
 }
@@ -383,7 +383,8 @@ runShardedFleet(const workloads::Workload &workload,
                                });
         sharded_owner = std::make_unique<ShardedCollector>(
             *workload.module, lowered, sim_config.costs, sim_config.policy,
-            config.cyclesPerTick, config.collector, config.estimator,
+            config.cyclesPerTick, config.collector,
+            tomography::EstimatorOptions{},
             sim::nestedProbeCycles(sim_config.costs));
         result.buildSeconds = double(build.elapsedUs()) / 1e6;
     }
@@ -500,7 +501,6 @@ tomography::ModuleEstimate
 estimateFromSlots(const ir::Module &module, const sim::LoweredModule &lowered,
                   const sim::CostModel &costs, sim::PredictPolicy policy,
                   uint64_t cycles_per_tick, double nested_probe_cycles,
-                  const tomography::EstimatorOptions &options,
                   const std::vector<store::EstimatorSlot> &slots)
 {
     CT_SPAN("fleet.estimate");
@@ -509,8 +509,7 @@ estimateFromSlots(const ir::Module &module, const sim::LoweredModule &lowered,
     // folds in with the count-weighted blend — the same operation the
     // aggregation tree applies to overlapping streams.
     net::EstimatorBank collapsed(module, lowered, costs, policy,
-                                 cycles_per_tick, options,
-                                 nested_probe_cycles);
+                                 cycles_per_tick, {}, nested_probe_cycles);
     for (const auto &slot : slots)
         collapsed.mergeSlot(0, slot.proc, slot.state);
 
@@ -539,7 +538,10 @@ planShardBudgets(const ir::Module &module, const sim::LoweredModule &current,
 
     // Each worker plans whole shards into indexed slots; everything a
     // plan depends on (the shard's slots, the class budget) is data,
-    // so any jobs value produces bit-identical plans.
+    // so any jobs value produces bit-identical plans. The shards' banks
+    // ran at the simulator's nested probe cost; plans read only thetas
+    // and the theta-derived profile.
+    const double nested_probe_cycles = sim::nestedProbeCycles(costs);
     exec::ThreadPool pool(config.jobs);
     auto plans = exec::parallelMap(
         pool, collector.shards(), [&](size_t shard) {
@@ -548,7 +550,7 @@ planShardBudgets(const ir::Module &module, const sim::LoweredModule &current,
             auto slots = collector.bank(shard).snapshot();
             auto estimate = estimateFromSlots(
                 module, current, costs, policy, config.cyclesPerTick,
-                config.nestedProbeCycles, config.estimator, slots);
+                nested_probe_cycles, slots);
             auto theta = causal::normalizeTheta(module,
                                                 std::move(estimate.thetas));
 
@@ -558,9 +560,8 @@ planShardBudgets(const ir::Module &module, const sim::LoweredModule &current,
             out.estimators = slots.size();
             auto instance = budget::buildInstance(
                 module, current, costs, policy, config.entry, theta,
-                estimate.profile, cls.budget, config.instance);
-            out.plan =
-                budget::solve(instance, config.solver, config.limits);
+                estimate.profile, cls.budget);
+            out.plan = budget::solve(instance, config.solver);
             out.orders = budget::applyAssignment(instance,
                                                  out.plan.assignment,
                                                  module.procedureCount());

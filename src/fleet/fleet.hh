@@ -91,14 +91,12 @@ struct ShardedCollectorConfig
      * When non-empty, each shard opens a ct::store at
      * `<storeDir>/shard-NNN` and WALs its deliveries there. Opening an
      * existing root *is* sharded recovery: each shard recovers its own
-     * durable prefix and (when resumeFromStore) resumes its bank.
+     * durable prefix and replays it into its bank.
      */
     std::string storeDir;
     /** Per-shard durability knobs. metricsScope is derived per shard
      *  (`fleet.shard.N.store.`); the value here is ignored. */
     store::StoreConfig store;
-    /** Replay each shard's recovered store into its bank on open. */
-    bool resumeFromStore = true;
     /** See net::CollectorConfig::skipAheadPackets. */
     size_t skipAheadPackets = 32;
     /** Keep reassembled per-mote traces (off: fleet-scale footprint;
@@ -216,7 +214,6 @@ tomography::ModuleEstimate estimateFromSlots(
     const ir::Module &module, const sim::LoweredModule &lowered,
     const sim::CostModel &costs, sim::PredictPolicy policy,
     uint64_t cycles_per_tick, double nested_probe_cycles,
-    const tomography::EstimatorOptions &options,
     const std::vector<store::EstimatorSlot> &slots);
 
 /** One hardware class in a heterogeneous fleet. */
@@ -234,16 +231,10 @@ struct FleetPlanConfig
      *  (round-robin over the contiguous shard ranges). Must be
      *  non-empty. */
     std::vector<MoteClass> classes;
-    /** Candidate pricing knobs, shared across classes. */
-    budget::InstanceOptions instance;
     budget::Solver solver = budget::Solver::Auto;
-    budget::DpLimits limits;
     /** Event entry procedure for the causal engine's call rates. */
     ir::ProcId entry = 0;
     uint64_t cyclesPerTick = 1;
-    double nestedProbeCycles = 0.0;
-    /** Estimator options for the per-shard estimate reconstruction. */
-    tomography::EstimatorOptions estimator;
     /** Worker threads for the per-shard fan-out (0 = auto). */
     size_t jobs = 1;
 };
@@ -308,7 +299,6 @@ struct ShardedFleetConfig
     std::optional<net::ChannelConfig> channel;
     net::UplinkConfig uplink; //!< lossy campaigns only
     ShardedCollectorConfig collector;
-    tomography::EstimatorOptions estimator;
     /** writeCheckpoint + compact every shard store at campaign end. */
     bool checkpointAtEnd = true;
 };

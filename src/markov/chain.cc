@@ -107,12 +107,6 @@ AbsorbingChain::valid() const
     return true;
 }
 
-Matrix
-AbsorbingChain::transientMatrix() const
-{
-    return q_;
-}
-
 bool
 AbsorbingChain::absorbing(size_t start) const
 {

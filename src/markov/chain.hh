@@ -72,9 +72,6 @@ class AbsorbingChain
      */
     bool absorbing(size_t start = 0) const;
 
-    /** Q: the transient-to-transient transition matrix. */
-    Matrix transientMatrix() const;
-
     /**
      * Fundamental matrix N = (I - Q)^-1. N[i][j] is the expected number
      * of visits to j before absorption when starting at i. panic()s if

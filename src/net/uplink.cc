@@ -7,6 +7,15 @@
 
 namespace ct::net {
 
+namespace {
+
+/** Rounds between a packet's first send and its first retransmit;
+ *  each retransmit doubles the wait, up to kMaxBackoffRounds. */
+constexpr uint64_t kBackoffRounds = 1;
+constexpr uint64_t kMaxBackoffRounds = 64;
+
+} // namespace
+
 MoteUplink::MoteUplink(std::vector<Packet> packets,
                        const UplinkConfig &config)
     : config_(config)
@@ -16,7 +25,7 @@ MoteUplink::MoteUplink(std::vector<Packet> packets,
     for (auto &packet : packets) {
         Slot slot;
         slot.packet = std::move(packet);
-        slot.backoff = std::max<uint64_t>(1, config.backoffRounds);
+        slot.backoff = kBackoffRounds;
         slots_.push_back(std::move(slot));
     }
 }
@@ -55,7 +64,7 @@ MoteUplink::poll(uint64_t round)
         if (slot.attempts > 1)
             ++stats_.retransmissions;
         slot.nextAttempt = round + slot.backoff;
-        slot.backoff = std::min(slot.backoff * 2, config_.maxBackoffRounds);
+        slot.backoff = std::min(slot.backoff * 2, kMaxBackoffRounds);
         out.push_back(slot.packet);
         if (!config_.retransmit)
             slot.abandoned = true; // fire-and-forget: one shot each

@@ -38,12 +38,9 @@ struct UplinkConfig
     bool retransmit = true;
     /** Max distinct unacked packets in flight per round. */
     size_t window = 8;
-    /** Retransmissions allowed per packet (beyond the first send). */
+    /** Retransmissions allowed per packet (beyond the first send),
+     *  the wait doubling from 1 round up to 64. */
     size_t maxRetries = 16;
-    /** Rounds between the first send and the first retransmit. */
-    uint64_t backoffRounds = 1;
-    /** Backoff doubling cap, in rounds. */
-    uint64_t maxBackoffRounds = 64;
     /** Safety stop for the transfer driver's round loop. */
     uint64_t maxRounds = 100'000;
 };

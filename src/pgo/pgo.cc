@@ -19,6 +19,12 @@ namespace {
 /** The one instrumented mote feeding the tracking bank. */
 constexpr uint16_t kProbeMote = 1;
 
+/** Ignore a procedure's drift until its tracking estimator has folded
+ *  in this many observations: a freshly created estimator sits at the
+ *  agnostic prior, which reads as huge "drift" against any converged
+ *  reference. */
+constexpr uint64_t kDriftMinObservations = 64;
+
 } // namespace
 
 ContinuousPgo::ContinuousPgo(workloads::Workload workload, PgoConfig config)
@@ -53,9 +59,9 @@ ContinuousPgo::run()
                                            config_.sim, config_.seed,
                                            config_.measureInvocations);
     }
-    auto layout_estimate = workloads::estimateTrace(
-        workload_, lowered_natural, config_.sim, config_.estimator,
-        config_.estimatorOptions, bootstrap.trace);
+    auto layout_estimate =
+        workloads::estimateTrace(workload_, lowered_natural, config_.sim,
+                                 config_.estimator, bootstrap.trace);
     std::vector<sim::BlockOrder> current_orders = workloads::placeFromProfile(
         module, layout_estimate.profile, config_.seed);
     result.initialOrders = current_orders;
@@ -71,8 +77,8 @@ ContinuousPgo::run()
     // instrumented lane's records. Recovery must rebuild with the
     // same forgetting to continue bitwise (see EstimatorBank ctor).
     net::EstimatorBank bank(module, lowered_natural, costs, policy,
-                            config_.sim.cyclesPerTick,
-                            config_.estimatorOptions, nested_probe_cycles,
+                            config_.sim.cyclesPerTick, {},
+                            nested_probe_cycles,
                             /*step_exponent=*/0.7, config_.forgetting);
 
     std::unique_ptr<store::Store> store;
@@ -170,8 +176,7 @@ ContinuousPgo::run()
                 if (p >= frozen.size() || frozen[p].empty())
                     continue;
                 const auto *est = bank.find(kProbeMote, p);
-                if (!est ||
-                    est->observations() < config_.driftMinObservations)
+                if (!est || est->observations() < kDriftMinObservations)
                     continue;
                 double d = est->driftFrom(frozen[p]).meanAbsDelta;
                 stat = std::max(stat, d);
@@ -206,15 +211,14 @@ ContinuousPgo::run()
                 auto tracking = fleet::estimateFromSlots(
                     module, lowered_natural, costs, policy,
                     config_.sim.cyclesPerTick, nested_probe_cycles,
-                    config_.estimatorOptions, bank.snapshot());
+                    bank.snapshot());
                 auto tracking_theta =
                     causal::normalizeTheta(module, tracking.thetas);
                 causal::Engine engine(module, lowered_current, costs,
                                       policy, workload_.entry,
                                       tracking_theta);
-                auto gate = causal::rankingGate(engine,
-                                                config_.gateFraction,
-                                                config_.gateMaxProcs);
+                auto gate =
+                    causal::rankingGate(engine, config_.gateFraction);
 
                 auto mixed = current_orders;
                 std::vector<std::string> survivors;
@@ -228,18 +232,16 @@ ContinuousPgo::run()
                     // would swap in). Greedy applies them best
                     // delta-per-flash-byte first while the budget
                     // holds.
-                    budget::InstanceOptions opts = config_.budgetOptions;
+                    budget::InstanceOptions opts;
                     opts.kinds = {layout::LayoutKind::ProfileGuided};
-                    opts.restrictTo.clear();
                     for (const auto &entry : gate)
                         opts.restrictTo.push_back(entry.proc);
                     auto instance = budget::buildInstance(
                         module, lowered_current, costs, policy,
                         workload_.entry, tracking_theta, tracking.profile,
                         config_.swapBudget, opts);
-                    auto plan = budget::solve(instance,
-                                              config_.budgetSolver,
-                                              config_.budgetLimits);
+                    auto plan =
+                        budget::solve(instance, budget::Solver::Greedy);
                     for (size_t g = 0; g < instance.groups.size(); ++g) {
                         const auto &group = instance.groups[g];
                         size_t c = plan.assignment.choice[g];

@@ -87,23 +87,15 @@ struct PgoConfig
      *  noise floor (~sqrt(forgetting/2) per branch). */
     double forgetting = 0.02;
     tomography::EstimatorKind estimator = tomography::EstimatorKind::Em;
-    tomography::EstimatorOptions estimatorOptions;
 
-    /** Drift thresholds (trigger/clear hysteresis + cooldown). */
+    /** Drift thresholds (trigger/clear hysteresis + cooldown). A
+     *  procedure's drift counts once its tracking estimator has folded
+     *  in 64 observations. */
     DriftDetectorConfig drift;
-    /**
-     * Ignore a procedure's drift until its tracking estimator has
-     * folded in this many observations — a freshly created estimator
-     * sits at the agnostic prior, which reads as huge "drift" against
-     * any converged reference.
-     */
-    uint64_t driftMinObservations = 64;
 
     /** causal gate: re-place only procedures whose whatIf delta is at
      *  least this fraction of baseline cycles per event. */
     double gateFraction = 0.01;
-    /** Cap on gate survivors (0 = no cap). */
-    size_t gateMaxProcs = 0;
 
     /// @name Budgeted re-placement (docs/BUDGET.md; off by default)
     /// @{
@@ -111,22 +103,17 @@ struct PgoConfig
      * When true, a triggered re-placement routes the causal gate's
      * survivors through ct::budget: each survivor's candidates are
      * "keep" vs its fresh profile-guided order, ranked by
-     * delta-per-flash-byte and applied only while `swapBudget` still
-     * fits — so under a tight budget a drift trigger swaps the best
-     * procedures it can afford instead of all-or-nothing. Adds one
-     * `budget ...` line per trigger to the decision log (the golden
-     * log snapshot is recorded with this off).
+     * delta-per-flash-byte by the greedy solver (the bang-for-buck
+     * ordering *is* the swap priority) and applied only while
+     * `swapBudget` still fits — so under a tight budget a drift
+     * trigger swaps the best procedures it can afford instead of
+     * all-or-nothing. Adds one `budget ...` line per trigger to the
+     * decision log (the golden log snapshot is recorded with this
+     * off).
      */
     bool budgetEnabled = false;
     /** Per-trigger reprogramming budget. */
     budget::BudgetSpec swapBudget;
-    /** Cost model / energy weight; kinds and restrictTo are overridden
-     *  (ProfileGuided only, gate survivors only). */
-    budget::InstanceOptions budgetOptions;
-    /** Greedy is the deployment-shaped default: the bang-for-buck
-     *  ordering *is* the swap priority. */
-    budget::Solver budgetSolver = budget::Solver::Greedy;
-    budget::DpLimits budgetLimits;
     /// @}
 
     /** When non-empty, persist every instrumented-lane record to a

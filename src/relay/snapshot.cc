@@ -275,12 +275,6 @@ SnapshotReassembler::complete() const
 }
 
 bool
-SnapshotReassembler::haveFragment(uint32_t index) const
-{
-    return chunks_.count(index) != 0;
-}
-
-bool
 SnapshotReassembler::assembleImage(std::vector<uint8_t> &out) const
 {
     if (!complete())

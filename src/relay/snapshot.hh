@@ -177,9 +177,6 @@ class SnapshotReassembler
     /** Every fragment of the announced total is held. */
     bool complete() const;
 
-    /** Whether fragment @p index is already held. */
-    bool haveFragment(uint32_t index) const;
-
     /** Announced fragment count (0 before the first valid fragment). */
     uint32_t expectedFragments() const { return total_.value_or(0); }
     uint32_t fragmentsHeld() const { return uint32_t(chunks_.size()); }

@@ -109,8 +109,7 @@ runRelayTree(const workloads::Workload &workload,
     sim_config.timingProbes = true;
     auto make_bank = [&] {
         return net::EstimatorBank(*workload.module, lowered, sim_config.costs,
-                                  sim_config.policy, config.cyclesPerTick,
-                                  config.estimator,
+                                  sim_config.policy, config.cyclesPerTick, {},
                                   sim::nestedProbeCycles(sim_config.costs));
     };
 
@@ -123,7 +122,6 @@ runRelayTree(const workloads::Workload &workload,
     traffic.invocations = config.invocations;
     traffic.templates = config.templates;
     traffic.seed = config.seed;
-    traffic.mtu = config.ingestMtu;
     const size_t leaves = leaf_nodes.size();
     fleet::FrameArena arena = fleet::buildArena(
         workload, lowered, sim_config, traffic, leaves,
@@ -217,7 +215,7 @@ runRelayTree(const workloads::Workload &workload,
 
     // The invariant's reference side: one flat sink hearing every
     // mote, in the same per-mote frame order the leaves saw.
-    if (config.computeFlatDigest) {
+    {
         auto flat = make_bank();
         net::CollectorConfig collector_config;
         collector_config.retainTraces = false;

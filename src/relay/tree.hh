@@ -110,16 +110,9 @@ struct RelayTreeConfig
     size_t jobs = 1;
     uint64_t seed = 1;
     uint64_t cyclesPerTick = 1;
-    /** Mote-uplink MTU used when packetizing the ingest traffic. */
-    size_t ingestMtu = net::kDefaultMtu;
     /** Per-link shipping knobs; each link's channel seed derives from
      *  (seed, child node id). */
     ShipConfig ship;
-    tomography::EstimatorOptions estimator;
-    /** Also replay the whole campaign into one flat sink and record
-     *  its digest (the invariant's reference side). On by default;
-     *  large campaigns can skip the second replay. */
-    bool computeFlatDigest = true;
 };
 
 /** What one tree link (child -> parent) did. */
@@ -142,9 +135,10 @@ struct RelayTreeResult
     Snapshot root;
     /** snapshotDigest of the root bank after aggregation. */
     uint64_t rootDigest = 0;
-    /** snapshotDigest of the flat single-sink bank (0 when skipped). */
+    /** snapshotDigest of one flat sink that replays the whole campaign
+     *  (the invariant's reference side). */
     uint64_t flatDigest = 0;
-    /** rootDigest == flatDigest (vacuously true when skipped). */
+    /** rootDigest == flatDigest. */
     bool digestMatch = true;
     /** Links whose shipping never completed (must be 0 for the
      *  invariant to hold; non-zero means maxAttempts was exhausted). */

@@ -57,15 +57,6 @@ CostModel::cyclesFor(const ir::Inst &inst) const
     panic("cyclesFor: bad opcode ", int(inst.op));
 }
 
-uint64_t
-CostModel::blockBodyCycles(const ir::BasicBlock &bb) const
-{
-    uint64_t total = 0;
-    for (const auto &inst : bb.insts)
-        total += cyclesFor(inst);
-    return total;
-}
-
 double
 nestedProbeCycles(const CostModel &costs)
 {

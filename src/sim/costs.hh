@@ -62,9 +62,6 @@ struct CostModel
 
     /** Cycles of one straight-line instruction (Sleep uses its imm). */
     uint64_t cyclesFor(const ir::Inst &inst) const;
-
-    /** Total straight-line cycles of a block (terminator excluded). */
-    uint64_t blockBodyCycles(const ir::BasicBlock &bb) const;
 };
 
 /**

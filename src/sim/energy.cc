@@ -18,6 +18,18 @@ activityName(Activity activity)
     panic("activityName: bad activity ", int(activity));
 }
 
+Activity
+activityOf(ir::Opcode op)
+{
+    switch (op) {
+      case ir::Opcode::Sleep: return Activity::Sleep;
+      case ir::Opcode::Sense: return Activity::Sense;
+      case ir::Opcode::RadioTx: return Activity::RadioTx;
+      case ir::Opcode::RadioRx: return Activity::RadioRx;
+      default: return Activity::CpuActive;
+    }
+}
+
 uint64_t
 ActivityCycles::total() const
 {

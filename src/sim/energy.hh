@@ -17,6 +17,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "ir/inst.hh"
+
 namespace ct::sim {
 
 /** What the mote was doing during a cycle. */
@@ -32,6 +34,10 @@ enum class Activity : uint8_t {
 constexpr size_t kActivityCount = 6;
 
 const char *activityName(Activity activity);
+
+/** The activity class a straight-line instruction's cycles count
+ *  toward: the simulator's accounting and the causal model's. */
+Activity activityOf(ir::Opcode op);
 
 /** Cycle counts per activity class, filled by the simulator. */
 struct ActivityCycles

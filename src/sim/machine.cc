@@ -25,19 +25,6 @@ holds(ir::CondCode cond, ir::Word lhs, ir::Word rhs)
     panic("holds: bad CondCode ", int(cond));
 }
 
-/** The activity class an instruction's cycles count toward. */
-Activity
-activityOf(ir::Opcode op)
-{
-    switch (op) {
-      case ir::Opcode::Sleep: return Activity::Sleep;
-      case ir::Opcode::Sense: return Activity::Sense;
-      case ir::Opcode::RadioTx: return Activity::RadioTx;
-      case ir::Opcode::RadioRx: return Activity::RadioRx;
-      default: return Activity::CpuActive;
-    }
-}
-
 /** Instructions whose only effect is their cycles (RadioTx's payload
  *  value has no architectural effect). */
 bool
@@ -70,7 +57,7 @@ Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
                      SimConfig config, InputSource &inputs, uint64_t seed)
     : module_(module), lowered_(std::move(lowered)), config_(config),
       inputs_(inputs), timer_(config.cyclesPerTick), gapRng_(seed),
-      ram_(config.ramWords, 0), procs_(decode(module, lowered_, config_))
+      ram_(kRamWords, 0), procs_(decode(module, lowered_, config_))
 {
 }
 

@@ -21,12 +21,14 @@
 
 namespace ct::sim {
 
+/** Words of data RAM every simulated mote has. */
+constexpr size_t kRamWords = 1024;
+
 /** Simulator configuration. */
 struct SimConfig
 {
     CostModel costs = telosCostModel();
     PredictPolicy policy = PredictPolicy::NotTaken;
-    size_t ramWords = 1024;
     uint64_t cyclesPerTick = 8;      //!< timer quantization quantum
     bool timingProbes = true;        //!< capture start/end timestamps
     uint32_t maxGapCycles = 97;      //!< random idle gap between events

@@ -103,49 +103,4 @@ ExactHistogram::percentile(double p) const
     return cells_.rbegin()->first;
 }
 
-BinnedHistogram::BinnedHistogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / double(bins)), counts_(bins, 0)
-{
-    CT_ASSERT(hi > lo, "BinnedHistogram requires hi > lo");
-    CT_ASSERT(bins > 0, "BinnedHistogram requires bins > 0");
-}
-
-size_t
-BinnedHistogram::binOf(double value) const
-{
-    if (value <= lo_)
-        return 0;
-    if (value >= hi_)
-        return counts_.size() - 1;
-    size_t bin = size_t((value - lo_) / width_);
-    return bin >= counts_.size() ? counts_.size() - 1 : bin;
-}
-
-void
-BinnedHistogram::add(double value)
-{
-    ++counts_[binOf(value)];
-    ++total_;
-}
-
-uint64_t
-BinnedHistogram::count(size_t bin) const
-{
-    CT_ASSERT(bin < counts_.size(), "bin index out of range");
-    return counts_[bin];
-}
-
-double
-BinnedHistogram::frequency(size_t bin) const
-{
-    return total_ == 0 ? 0.0 : double(count(bin)) / double(total_);
-}
-
-double
-BinnedHistogram::binCenter(size_t bin) const
-{
-    CT_ASSERT(bin < counts_.size(), "bin index out of range");
-    return lo_ + (double(bin) + 0.5) * width_;
-}
-
 } // namespace ct

@@ -1,10 +1,8 @@
 /**
  * @file
- * Histograms over observed values.
- *
- * Two flavours are provided: an exact-value histogram (integral tick
- * counts — the natural representation of quantized end-to-end timings)
- * and a fixed-width binned histogram for continuous data.
+ * Histograms over observed values: an exact-value histogram over
+ * integral tick counts, the natural representation of quantized
+ * end-to-end timings.
  */
 
 #ifndef CT_STATS_HISTOGRAM_HH
@@ -65,39 +63,6 @@ class ExactHistogram
 
   private:
     std::map<int64_t, uint64_t> cells_;
-    uint64_t total_ = 0;
-};
-
-/** Fixed-width binned histogram over doubles. */
-class BinnedHistogram
-{
-  public:
-    /**
-     * @param lo     lower edge of the first bin
-     * @param hi     upper edge of the last bin (must exceed lo)
-     * @param bins   number of bins (> 0)
-     * Out-of-range samples are clamped to the edge bins.
-     */
-    BinnedHistogram(double lo, double hi, size_t bins);
-
-    void add(double value);
-
-    size_t bins() const { return counts_.size(); }
-    uint64_t total() const { return total_; }
-    uint64_t count(size_t bin) const;
-    double frequency(size_t bin) const;
-
-    /** Centre of @p bin. */
-    double binCenter(size_t bin) const;
-
-    /** Bin index a value falls into (after clamping). */
-    size_t binOf(double value) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<uint64_t> counts_;
     uint64_t total_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "stats/summary.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace ct {
 
@@ -46,12 +45,6 @@ double
 OnlineStats::sampleVariance() const
 {
     return count_ > 1 ? m2_ / double(count_ - 1) : 0.0;
-}
-
-double
-OnlineStats::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 } // namespace ct

@@ -30,7 +30,6 @@ class OnlineStats
     /** Sample variance (divides by n-1); 0 when n < 2. */
     double sampleVariance() const;
 
-    double stddev() const;
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
     double sum() const { return mean_ * double(count_); }

@@ -294,8 +294,7 @@ Store::compact()
     // the oldest-retained rule every fallback checkpoint still has its
     // full replay tail on disk, which is what lets the crash-recovery
     // property inject checkpoint damage and compaction together.
-    while (checkpointIds_.size() > std::max<size_t>(
-                                       1, config_.keepCheckpoints)) {
+    while (checkpointIds_.size() > kKeepCheckpoints) {
         std::error_code ec;
         fs::remove(fs::path(dir_) /
                        checkpointFileName(checkpointIds_.front()),

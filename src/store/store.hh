@@ -52,6 +52,9 @@ class Counter;
 
 namespace ct::store {
 
+/** Checkpoints compact() keeps; older ones are deleted. */
+constexpr size_t kKeepCheckpoints = 2;
+
 /** Durability and retention knobs. */
 struct StoreConfig
 {
@@ -68,8 +71,6 @@ struct StoreConfig
      * crash. flush() and checkpoints always sync regardless.
      */
     size_t fsyncEveryRecords = 256;
-    /** Checkpoints kept by compact(); older ones are deleted. */
-    size_t keepCheckpoints = 2;
     /**
      * Prefix for the obs counters this store records (the `store.*`
      * family by default). A sharded fleet gives each shard's store its
@@ -175,12 +176,12 @@ class Store
     void writeCheckpoint(std::vector<EstimatorSlot> slots);
 
     /**
-     * Enforce retention: prune checkpoints beyond
-     * StoreConfig::keepCheckpoints, then delete sealed segments fully
-     * covered by the *oldest retained* checkpoint — so every
-     * checkpoint recovery could still fall back to keeps its complete
-     * replay tail on disk (damaging the newest checkpoint never
-     * strands records). A no-op without a checkpoint.
+     * Enforce retention: prune checkpoints beyond kKeepCheckpoints,
+     * then delete sealed segments fully covered by the *oldest
+     * retained* checkpoint — so every checkpoint recovery could still
+     * fall back to keeps its complete replay tail on disk (damaging
+     * the newest checkpoint never strands records). A no-op without a
+     * checkpoint.
      */
     void compact();
 

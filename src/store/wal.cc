@@ -39,15 +39,6 @@ encodeWalEntry(uint16_t mote, const trace::TimingRecord &record)
     return out;
 }
 
-size_t
-walEntryBytes(const trace::TimingRecord &record)
-{
-    std::vector<uint8_t> payload;
-    int64_t prev_end = 0;
-    trace::appendRecord(payload, record, prev_end);
-    return kEntryOverheadBytes + payload.size();
-}
-
 std::vector<uint8_t>
 encodeSegmentHeader(uint64_t id, uint64_t first_ordinal)
 {

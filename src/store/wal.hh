@@ -77,9 +77,6 @@ struct WalEntry
 std::vector<uint8_t> encodeWalEntry(uint16_t mote,
                                     const trace::TimingRecord &record);
 
-/** Byte size encodeWalEntry() will produce for @p record. */
-size_t walEntryBytes(const trace::TimingRecord &record);
-
 /** Serialized segment header for @p id starting at @p first_ordinal. */
 std::vector<uint8_t> encodeSegmentHeader(uint64_t id,
                                          uint64_t first_ordinal);

@@ -7,6 +7,13 @@
 
 namespace ct::tomography {
 
+namespace {
+
+/** Two-sided confidence level: 5th..95th percentiles. */
+constexpr double kConfidence = 0.9;
+
+} // namespace
+
 std::vector<BranchInterval>
 bootstrapIntervals(const TimingModel &model,
                    const std::vector<int64_t> &durations,
@@ -15,8 +22,6 @@ bootstrapIntervals(const TimingModel &model,
 {
     CT_ASSERT(!durations.empty(), "bootstrap needs observations");
     CT_ASSERT(options.resamples >= 2, "bootstrap needs >= 2 resamples");
-    CT_ASSERT(options.confidence > 0.0 && options.confidence < 1.0,
-              "confidence must lie in (0, 1)");
 
     const size_t params = model.paramCount();
     std::vector<BranchInterval> out(params);
@@ -39,7 +44,7 @@ bootstrapIntervals(const TimingModel &model,
             draws[b].push_back(estimate.theta[b]);
     }
 
-    double alpha = (1.0 - options.confidence) / 2.0;
+    double alpha = (1.0 - kConfidence) / 2.0;
     for (size_t b = 0; b < params; ++b) {
         std::sort(draws[b].begin(), draws[b].end());
         auto quantile = [&](double q) {

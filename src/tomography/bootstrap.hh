@@ -34,14 +34,12 @@ struct BranchInterval
 struct BootstrapOptions
 {
     size_t resamples = 200;
-    /** Two-sided confidence level (0.9 -> 5th..95th percentiles). */
-    double confidence = 0.9;
     uint64_t seed = 0xb0075;
 };
 
 /**
- * Percentile-bootstrap intervals for @p model's branch parameters.
- * @p estimator runs once on the full sample (the point estimates) and
+ * Two-sided 90% percentile-bootstrap intervals (5th..95th percentiles)
+ * for @p model's branch parameters. @p estimator runs once on the full sample (the point estimates) and
  * once per resample. Cost scales linearly in resamples; the Linear
  * estimator is the usual choice here.
  */

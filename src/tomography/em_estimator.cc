@@ -30,8 +30,8 @@ namespace {
  */
 size_t
 runEm(const PathTable &table, const DurationHistogram &histogram,
-      const NoiseKernel &noise, const EstimatorOptions &options,
-      std::vector<double> &theta, double &log_likelihood)
+      const NoiseKernel &noise, std::vector<double> &theta,
+      double &log_likelihood)
 {
     const size_t params = theta.size();
     const size_t row = 2 * params;
@@ -73,7 +73,7 @@ runEm(const PathTable &table, const DurationHistogram &histogram,
     }
 
     size_t iter = 0;
-    for (; iter < options.maxIterations; ++iter) {
+    for (; iter < kMaxIterations; ++iter) {
         int64_t iter_start_us = tel_ll ? obs::monotonicMicros() : 0;
         table.decisionPriors(theta, prior);
 
@@ -122,8 +122,8 @@ runEm(const PathTable &table, const DurationHistogram &histogram,
         double max_delta = 0.0;
         for (size_t b = 0; b < params; ++b) {
             double total = expected[b] + expected[params + b];
-            double updated = (expected[b] + options.smoothing) /
-                             (total + 2.0 * options.smoothing);
+            double updated = (expected[b] + kSmoothing) /
+                             (total + 2.0 * kSmoothing);
             max_delta = std::max(max_delta, std::abs(updated - theta[b]));
             theta[b] = updated;
         }
@@ -133,7 +133,7 @@ runEm(const PathTable &table, const DurationHistogram &histogram,
             tel_iter_us->append(
                 double(obs::monotonicMicros() - iter_start_us));
         }
-        if (max_delta < options.tolerance) {
+        if (max_delta < kTolerance) {
             ++iter;
             break;
         }
@@ -171,8 +171,8 @@ EmPathEstimator::estimate(const TimingModel &model,
     const DurationHistogram histogram(durations);
     const NoiseKernel noise(model.cyclesPerTick(), options_.jitterSigmaTicks);
     auto table = PathTable::build(model, options_, result.theta);
-    result.iterations = runEm(*table, histogram, noise, options_,
-                              result.theta, result.logLikelihood);
+    result.iterations = runEm(*table, histogram, noise, result.theta,
+                              result.logLikelihood);
 
     // Phase 2 (optional): the converged theta may put most mass on paths
     // pruned under the uniform enumeration; re-enumerate around it and
@@ -183,8 +183,8 @@ EmPathEstimator::estimate(const TimingModel &model,
         for (double &p : enum_theta)
             p = std::clamp(p, 0.05, 0.95);
         table = PathTable::build(model, options_, enum_theta);
-        result.iterations += runEm(*table, histogram, noise, options_,
-                                   result.theta, result.logLikelihood);
+        result.iterations += runEm(*table, histogram, noise, result.theta,
+                                   result.logLikelihood);
     }
 
     result.pathCount = table->pathCount();

@@ -45,6 +45,13 @@ struct PathEnumOptions
     size_t maxLength = 4'096;
 };
 
+/** Maximum EM / gradient iterations per solve. */
+constexpr size_t kMaxIterations = 200;
+/** Convergence tolerance on max |delta theta|. */
+constexpr double kTolerance = 1e-5;
+/** Dirichlet-style smoothing pseudo-count on branch decisions. */
+constexpr double kSmoothing = 0.1;
+
 /** Knobs shared by the estimators. */
 struct EstimatorOptions
 {
@@ -52,18 +59,8 @@ struct EstimatorOptions
     PathEnumOptions pathEnum;
     /** Assumed per-timestamp jitter sigma, ticks (see NoiseKernel). */
     double jitterSigmaTicks = 0.0;
-    /** Maximum EM / gradient iterations. */
-    size_t maxIterations = 200;
-    /** Convergence tolerance on max |delta theta|. */
-    double tolerance = 1e-5;
-    /** Dirichlet-style smoothing pseudo-count on branch decisions. */
-    double smoothing = 0.1;
     /** Re-enumerate paths once around the converged theta (Em). */
     bool reenumerate = true;
-    /** Random restarts (Moment). */
-    size_t restarts = 8;
-    /** Seed for restart initialization (Moment). */
-    uint64_t seed = 0x7a11ab1e;
 };
 
 /** Outcome of estimating one procedure. */

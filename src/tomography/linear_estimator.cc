@@ -56,7 +56,7 @@ LinearTomographyEstimator::estimate(
     std::vector<double> freq(n_classes, 1.0 / double(n_classes));
     std::vector<double> next(n_classes, 0.0);
     size_t iter = 0;
-    for (; iter < options_.maxIterations; ++iter) {
+    for (; iter < kMaxIterations; ++iter) {
         std::fill(next.begin(), next.end(), 0.0);
         result.logLikelihood = 0.0;
         for (size_t o = 0; o < histogram.size(); ++o) {
@@ -84,7 +84,7 @@ LinearTomographyEstimator::estimate(
             max_delta = std::max(max_delta, std::abs(updated - freq[c]));
             freq[c] = updated;
         }
-        if (max_delta < options_.tolerance) {
+        if (max_delta < kTolerance) {
             ++iter;
             break;
         }
@@ -111,8 +111,8 @@ LinearTomographyEstimator::estimate(
     }
     for (size_t b = 0; b < params; ++b) {
         double total = expected[b] + expected[params + b];
-        result.theta[b] = (expected[b] + options_.smoothing) /
-                          (total + 2.0 * options_.smoothing);
+        result.theta[b] = (expected[b] + kSmoothing) /
+                          (total + 2.0 * kSmoothing);
     }
 
     result.iterations = iter;

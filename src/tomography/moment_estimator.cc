@@ -17,6 +17,10 @@ constexpr double kThetaLo = 0.001;
 constexpr double kThetaHi = 0.999;
 constexpr double kVarianceWeight = 0.5;
 constexpr double kPriorWeight = 1e-3; //!< pull toward 0.5 when unidentified
+/** Random restarts; the first starts from the agnostic 0.5. */
+constexpr size_t kRestarts = 8;
+/** Seed for the restarts' initial thetas. */
+constexpr uint64_t kRestartSeed = 0x7a11ab1e;
 
 } // namespace
 
@@ -71,10 +75,9 @@ MomentEstimator::estimate(const TimingModel &model,
     const size_t n = model.paramCount();
     double best_obj = objective(model, result.theta, mean_cycles, var_cycles);
     size_t total_iters = 0;
-    Rng rng(options_.seed);
+    Rng rng(kRestartSeed);
 
-    for (size_t restart = 0; restart < std::max<size_t>(options_.restarts, 1);
-         ++restart) {
+    for (size_t restart = 0; restart < kRestarts; ++restart) {
         std::vector<double> theta(n);
         if (restart == 0) {
             std::fill(theta.begin(), theta.end(), 0.5);
@@ -88,7 +91,7 @@ MomentEstimator::estimate(const TimingModel &model,
         std::vector<double> grad(n, 0.0);
         std::vector<double> trial(n, 0.0);
 
-        for (size_t iter = 0; iter < options_.maxIterations; ++iter) {
+        for (size_t iter = 0; iter < kMaxIterations; ++iter) {
             ++total_iters;
             // Central-difference gradient.
             const double h = 1e-4;
@@ -127,7 +130,7 @@ MomentEstimator::estimate(const TimingModel &model,
                     obj = trial_obj;
                     improved = true;
                     step = std::min(t * 2.0, 1.0);
-                    if (move < options_.tolerance)
+                    if (move < kTolerance)
                         improved = false; // converged
                     break;
                 }

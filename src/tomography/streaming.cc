@@ -48,7 +48,6 @@ StreamingEstimator::StreamingEstimator(const TimingModel &model,
     : model_(model),
       noise_(model.cyclesPerTick(), options.jitterSigmaTicks),
       stepExponent_(step_exponent), forgetting_(forgetting),
-      smoothing_(options.smoothing),
       table_(PathTable::build(model, options,
                               std::vector<double>(model.paramCount(), 0.5)))
 {
@@ -63,7 +62,7 @@ StreamingEstimator::StreamingEstimator(const TimingModel &model,
     : model_(model),
       noise_(model.cyclesPerTick(), options.jitterSigmaTicks),
       stepExponent_(step_exponent), forgetting_(forgetting),
-      smoothing_(options.smoothing), table_(std::move(table))
+      table_(std::move(table))
 {
     CT_ASSERT(table_ != nullptr, "streaming estimator: null path table");
     CT_ASSERT(table_->paramCount == model.paramCount(),
@@ -175,7 +174,7 @@ StreamingEstimator::observe(int64_t duration_ticks)
 
         double total = statTaken_[b] + statFall_[b];
         // The smoothing pseudo-count shrinks as evidence accumulates.
-        double s = smoothing_ / double(count_);
+        double s = kSmoothing / double(count_);
         theta_[b] = (statTaken_[b] + s) / (total + 2.0 * s);
         theta_[b] = std::clamp(theta_[b], 1e-6, 1.0 - 1e-6);
     }
@@ -216,12 +215,11 @@ StreamingEstimator::mergeFrom(const StreamingState &other)
                   other.statFall.size() == statFall_.size(),
               "streaming merge parameter count mismatch for '",
               model_.proc().name(), "'");
-    restore(mergeStreamingStates(snapshot(), other, smoothing_));
+    restore(mergeStreamingStates(snapshot(), other));
 }
 
 StreamingState
-mergeStreamingStates(const StreamingState &a, const StreamingState &b,
-                     double smoothing)
+mergeStreamingStates(const StreamingState &a, const StreamingState &b)
 {
     // The exact cases: one side never observed anything, so the merge
     // *is* the other side's replay — adopting its state verbatim
@@ -257,7 +255,7 @@ mergeStreamingStates(const StreamingState &a, const StreamingState &b,
         out.statTaken[i] = (na * a.statTaken[i] + nb * b.statTaken[i]) / n;
         out.statFall[i] = (na * a.statFall[i] + nb * b.statFall[i]) / n;
         double total = out.statTaken[i] + out.statFall[i];
-        double s = smoothing / double(out.count);
+        double s = kSmoothing / double(out.count);
         out.theta[i] = (out.statTaken[i] + s) / (total + 2.0 * s);
         out.theta[i] = std::clamp(out.theta[i], 1e-6, 1.0 - 1e-6);
     }

@@ -190,7 +190,6 @@ class StreamingEstimator
     NoiseKernel noise_;
     double stepExponent_;
     double forgetting_;
-    double smoothing_;
 
     std::shared_ptr<const PathTable> table_; //!< immutable, shareable
 
@@ -204,13 +203,12 @@ class StreamingEstimator
 /**
  * Pure-state merge with the same semantics as
  * StreamingEstimator::mergeFrom (exact when either side is empty,
- * count-weighted blend otherwise). @p smoothing is the estimator's
- * Dirichlet pseudo-count used to re-derive theta. Exposed so stores /
- * checkpoints can merge without constructing estimators.
+ * count-weighted blend otherwise, theta re-derived under kSmoothing).
+ * Exposed so stores / checkpoints can merge without constructing
+ * estimators.
  */
 StreamingState mergeStreamingStates(const StreamingState &a,
-                                    const StreamingState &b,
-                                    double smoothing);
+                                    const StreamingState &b);
 
 } // namespace ct::tomography
 

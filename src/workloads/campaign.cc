@@ -124,10 +124,9 @@ simulateMote(const Workload &workload, const sim::LoweredModule &lowered,
 tomography::ModuleEstimate
 estimateTrace(const Workload &workload, const sim::LoweredModule &natural,
               const sim::SimConfig &config, tomography::EstimatorKind kind,
-              const tomography::EstimatorOptions &options,
               const trace::TimingTrace &trace)
 {
-    auto estimator = tomography::makeEstimator(kind, options);
+    auto estimator = tomography::makeEstimator(kind, {});
     return tomography::estimateModule(
         *workload.module, natural, config.costs, config.policy,
         config.cyclesPerTick, sim::nestedProbeCycles(config.costs), trace,

@@ -97,11 +97,10 @@ sim::RunResult simulateMote(const Workload &workload,
                             const MoteSeeds &seeds, size_t invocations);
 
 /** Estimate every procedure from a measure lane's @p trace with a
- *  fresh estimator of @p kind. */
+ *  fresh estimator of @p kind under default options. */
 tomography::ModuleEstimate
 estimateTrace(const Workload &workload, const sim::LoweredModule &natural,
               const sim::SimConfig &config, tomography::EstimatorKind kind,
-              const tomography::EstimatorOptions &options,
               const trace::TimingTrace &trace);
 
 /** Profile-guided placement of every procedure from @p profile. */

@@ -143,8 +143,7 @@ TEST(PropPgo, StoreRecoveryMatchesLiveBankAfterDriftCompaction)
                 auto make_bank = [&] {
                     return net::EstimatorBank(
                         *workload.module, lowered, cfg.sim.costs,
-                        cfg.sim.policy, cfg.sim.cyclesPerTick,
-                        cfg.estimatorOptions, nested,
+                        cfg.sim.policy, cfg.sim.cyclesPerTick, {}, nested,
                         /*step_exponent=*/0.7, cfg.forgetting);
                 };
 

@@ -266,19 +266,3 @@ TEST(Report, ContainsEverySection)
         EXPECT_NE(text.find(needle), std::string::npos) << needle;
     }
 }
-
-TEST(Report, OptionsSuppressSections)
-{
-    auto workload = workloads::makeBlink();
-    auto config = fastConfig();
-    TomographyPipeline pipeline(workload, config);
-    auto result = pipeline.run();
-
-    ReportOptions options;
-    options.includeAccuracy = false;
-    options.includeDiagnostics = false;
-    auto text = renderReport(workload, config, result, options);
-    EXPECT_EQ(text.find("estimated vs true"), std::string::npos);
-    EXPECT_EQ(text.find("estimator diagnostics"), std::string::npos);
-    EXPECT_NE(text.find("placement outcomes"), std::string::npos);
-}

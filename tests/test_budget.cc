@@ -5,9 +5,11 @@
  * unlimited budget reproduces the unconstrained tomography placement),
  * hand-built solver corners (single-group agreement, gcd quantization,
  * the binding/deferred report), the pipeline's budget stage, the
- * budgeted continuous-PGO trigger path, and the heterogeneous-fleet
- * planner end to end.
+ * energy weight of the objective, the budgeted continuous-PGO trigger
+ * path, and the heterogeneous-fleet planner end to end.
  */
+
+#include <bit>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "budget/budget.hh"
 #include "fleet/fleet.hh"
 #include "pgo/pgo.hh"
+#include "workloads/campaign.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -187,6 +190,49 @@ TEST(Budget, PipelineStageEvaluatesBudgetOutcome)
     // The plan's orders cover every procedure slot.
     EXPECT_EQ(result.budget.orders.size(),
               pipeline.workload().module->procedureCount());
+}
+
+TEST(Budget, EnergyWeightScalesTheObjective)
+{
+    // The weight scales the energy term inside the scalarized gain and
+    // touches neither term itself.
+    auto workload = workloads::workloadByName("collection_tree");
+    const ir::Module &module = *workload.module;
+    sim::SimConfig sim_config;
+    auto natural = sim::lowerModule(module);
+    auto measured =
+        workloads::measureLane(workload, natural, sim_config, 1, 500);
+    auto theta = causal::thetaFromProfile(module, measured.profile);
+    auto build = [&](double weight) {
+        budget::InstanceOptions options;
+        options.energyWeight = weight;
+        return budget::buildInstance(module, natural, sim_config.costs,
+                                     sim_config.policy, workload.entry, theta,
+                                     measured.profile, flashOnly(80),
+                                     options);
+    };
+    auto plain = build(0.0);
+    auto weighted = build(0.5);
+
+    ASSERT_EQ(weighted.groups.size(), plain.groups.size());
+    size_t priced = 0;
+    for (size_t g = 0; g < plain.groups.size(); ++g) {
+        const auto &a = plain.groups[g].candidates;
+        const auto &b = weighted.groups[g].candidates;
+        ASSERT_EQ(b.size(), a.size());
+        for (size_t c = 0; c < a.size(); ++c) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(b[c].gainCyclesPerEvent),
+                      std::bit_cast<uint64_t>(a[c].gainCyclesPerEvent));
+            EXPECT_EQ(
+                std::bit_cast<uint64_t>(b[c].gainEnergyMicrojoulesPerEvent),
+                std::bit_cast<uint64_t>(a[c].gainEnergyMicrojoulesPerEvent));
+            EXPECT_EQ(b[c].gain, b[c].gainCyclesPerEvent +
+                                     0.5 * b[c].gainEnergyMicrojoulesPerEvent);
+            priced += b[c].gainEnergyMicrojoulesPerEvent != 0.0;
+        }
+    }
+    // The weight acted on some candidate.
+    EXPECT_GT(priced, 0u);
 }
 
 TEST(Budget, PgoBudgetedTriggerHonorsZeroBudget)

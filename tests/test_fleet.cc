@@ -432,19 +432,19 @@ TEST(Fleet, MergeStreamingStatesZeroCountEdges)
     populated.outliers = 2;
 
     // 0/0: the merge is a (itself empty), not a blend or a crash.
-    auto both = tomography::mergeStreamingStates(empty, empty, 0.1);
+    auto both = tomography::mergeStreamingStates(empty, empty);
     EXPECT_EQ(both.count, 0u);
     EXPECT_TRUE(both.theta.empty());
 
     // 0/n and n/0: verbatim adoption, bit for bit, including the
     // fields a blend would recompute (theta, outliers).
-    auto right = tomography::mergeStreamingStates(empty, populated, 0.1);
+    auto right = tomography::mergeStreamingStates(empty, populated);
     EXPECT_EQ(right.count, populated.count);
     EXPECT_EQ(right.outliers, populated.outliers);
     EXPECT_EQ(right.theta, populated.theta);
     EXPECT_EQ(right.statTaken, populated.statTaken);
     EXPECT_EQ(right.statFall, populated.statFall);
-    auto left = tomography::mergeStreamingStates(populated, empty, 0.1);
+    auto left = tomography::mergeStreamingStates(populated, empty);
     EXPECT_EQ(left.count, populated.count);
     EXPECT_EQ(left.theta, populated.theta);
     EXPECT_EQ(left.statTaken, populated.statTaken);
@@ -464,12 +464,14 @@ TEST(Fleet, MergeStreamingStatesCountWeightedBlend)
     b.statFall = {1.0};
     b.count = 3;
 
-    auto merged = tomography::mergeStreamingStates(a, b, 0.0);
+    auto merged = tomography::mergeStreamingStates(a, b);
     EXPECT_EQ(merged.count, 4u);
     EXPECT_DOUBLE_EQ(merged.statTaken[0], 0.25);
     EXPECT_DOUBLE_EQ(merged.statFall[0], 0.75);
-    // theta re-derives from the merged statistics (smoothing 0).
-    EXPECT_DOUBLE_EQ(merged.theta[0], 0.25);
+    // theta re-derives from the merged statistics, the smoothing
+    // pseudo-count shrunk by the merged count: 0.275 / 1.05.
+    const double s = tomography::kSmoothing / 4.0;
+    EXPECT_DOUBLE_EQ(merged.theta[0], (0.25 + s) / (1.0 + 2.0 * s));
 }
 
 TEST(NetFleet, JobsCountDoesNotChangeAnyField)

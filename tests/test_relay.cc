@@ -371,7 +371,7 @@ TEST(RelayAdopt, SnapshotOnlyEstimateCoversEveryProcedure)
     auto estimate = fleet::estimateFromSlots(
         *sh.workload.module, sh.lowered, sh.config.costs, sh.config.policy,
         sh.config.cyclesPerTick, sim::nestedProbeCycles(sh.config.costs),
-        {}, snapshot.slots);
+        snapshot.slots);
     EXPECT_EQ(estimate.profile.size(),
               sh.workload.module->procedureCount());
     EXPECT_EQ(estimate.thetas.size(),

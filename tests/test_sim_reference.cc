@@ -45,7 +45,7 @@ class ReferenceSimulator
                        uint64_t seed)
         : module_(module), lowered_(std::move(lowered)), config_(config),
           inputs_(inputs), timer_(config.cyclesPerTick), gapRng_(seed),
-          ram_(config.ramWords, 0)
+          ram_(sim::kRamWords, 0)
     {
     }
 

@@ -139,20 +139,6 @@ TEST(ExactHistogram, EmptyBehaviour)
     EXPECT_DOUBLE_EQ(h.frequency(1), 0.0);
 }
 
-TEST(BinnedHistogram, BinningAndClamping)
-{
-    BinnedHistogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bin 0
-    h.add(9.5);   // bin 4
-    h.add(-99.0); // clamps to bin 0
-    h.add(99.0);  // clamps to bin 4
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(4), 2u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 1.0);
-    EXPECT_EQ(h.binOf(3.9), 1u);
-}
-
 TEST(OnlineStats, WelfordMatchesDirect)
 {
     OnlineStats s;

@@ -143,7 +143,6 @@ TEST(StoreRecovery, CheckpointCompactAndRetention)
     auto dir = scratchDir("compact");
     store::StoreConfig config;
     config.segmentBytes = 128;
-    config.keepCheckpoints = 2;
 
     Campaign campaign(60);
     auto writer = campaign.bank();
@@ -159,7 +158,7 @@ TEST(StoreRecovery, CheckpointCompactAndRetention)
         size_t sealed_before = store.segments().size();
         store.compact();
         // Everything below the *oldest retained* checkpoint's ordinal
-        // is gone — with keepCheckpoints = 2 and checkpoints at 15/
+        // is gone — with kKeepCheckpoints = 2 and checkpoints at 15/
         // 30/45/60, retention keeps 45 and 60 and segments covered by
         // ordinal 45 are deleted. Anything the newest checkpoint
         // covers beyond that stays: recovery falling back to the
@@ -170,7 +169,7 @@ TEST(StoreRecovery, CheckpointCompactAndRetention)
             EXPECT_TRUE(seg.active ||
                         seg.firstOrdinal + seg.records > oldest_retained);
         EXPECT_LE(store::listCheckpointIds(dir).size(),
-                  config.keepCheckpoints);
+                  store::kKeepCheckpoints);
     }
 
     // Recovery over the compacted store still reproduces the full

@@ -74,8 +74,7 @@ class ReferenceStreaming
                        const EstimatorOptions &options, double step_exponent,
                        double forgetting)
         : noise_(model.cyclesPerTick(), options.jitterSigmaTicks),
-          stepExponent_(step_exponent), forgetting_(forgetting),
-          smoothing_(options.smoothing)
+          stepExponent_(step_exponent), forgetting_(forgetting)
     {
         reference::ReferencePaths paths(
             model, options, std::vector<double>(model.paramCount(), 0.5));
@@ -122,7 +121,7 @@ class ReferenceStreaming
             statTaken_[b] = (1.0 - rho) * statTaken_[b] + rho * taken;
             statFall_[b] = (1.0 - rho) * statFall_[b] + rho * fall;
             double total = statTaken_[b] + statFall_[b];
-            double s = smoothing_ / double(count_);
+            double s = kSmoothing / double(count_);
             theta_[b] = (statTaken_[b] + s) / (total + 2.0 * s);
             theta_[b] = std::clamp(theta_[b], 1e-6, 1.0 - 1e-6);
         }
@@ -140,7 +139,6 @@ class ReferenceStreaming
     NoiseKernel noise_;
     double stepExponent_;
     double forgetting_;
-    double smoothing_;
     std::vector<reference::PathFeatures> features_;
     std::vector<double> rewards_;
     std::vector<double> extraVarTicks2_;
@@ -188,14 +186,14 @@ struct ReferenceWorkspace
 };
 
 size_t
-referenceRunEm(const ReferenceWorkspace &ws, const EstimatorOptions &options,
-               std::vector<double> &theta, double &log_likelihood)
+referenceRunEm(const ReferenceWorkspace &ws, std::vector<double> &theta,
+               double &log_likelihood)
 {
     const size_t paths = ws.pathCount();
     const size_t params = theta.size();
     std::vector<double> prior(paths, 0.0);
     size_t iter = 0;
-    for (; iter < options.maxIterations; ++iter) {
+    for (; iter < kMaxIterations; ++iter) {
         for (size_t p = 0; p < paths; ++p)
             prior[p] = std::exp(logPrior(ws.paths.features[p], theta));
         std::vector<double> path_resp(paths, 0.0);
@@ -228,13 +226,12 @@ referenceRunEm(const ReferenceWorkspace &ws, const EstimatorOptions &options,
         }
         double max_delta = 0.0;
         for (size_t b = 0; b < params; ++b) {
-            double updated = (acc_taken[b] + options.smoothing) /
-                             (acc_taken[b] + acc_fall[b] +
-                              2.0 * options.smoothing);
+            double updated = (acc_taken[b] + kSmoothing) /
+                             (acc_taken[b] + acc_fall[b] + 2.0 * kSmoothing);
             max_delta = std::max(max_delta, std::abs(updated - theta[b]));
             theta[b] = updated;
         }
-        if (max_delta < options.tolerance) {
+        if (max_delta < kTolerance) {
             ++iter;
             break;
         }
@@ -252,14 +249,14 @@ referenceEm(const TimingModel &model, const std::vector<int64_t> &durations,
         return result;
     ReferenceWorkspace ws(model, durations, options, result.theta);
     result.iterations =
-        referenceRunEm(ws, options, result.theta, result.logLikelihood);
+        referenceRunEm(ws, result.theta, result.logLikelihood);
     if (options.reenumerate) {
         std::vector<double> enum_theta = result.theta;
         for (double &p : enum_theta)
             p = std::clamp(p, 0.05, 0.95);
         ws = ReferenceWorkspace(model, durations, options, enum_theta);
         result.iterations +=
-            referenceRunEm(ws, options, result.theta, result.logLikelihood);
+            referenceRunEm(ws, result.theta, result.logLikelihood);
     }
     result.pathCount = ws.pathCount();
     result.coveredPathMass = ws.paths.set.coveredMass();
